@@ -4,6 +4,7 @@ substitution subshifts."""
 from .errors import (
     BaseMismatch,
     BoundSearchExceeded,
+    InvariantViolated,
     NonPrimitive,
     NotHermitian,
     NotInStageAlgebra,
@@ -50,7 +51,6 @@ from .crossed import (
     gamma_symbolic,
     homomorphism_check,
     in_ob_subalgebra,
-    injectivity_check,
     injectivity_witness,
     project_to_subalgebra,
     sample_point,

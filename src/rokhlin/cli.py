@@ -1,9 +1,10 @@
 """Batch front door: config-driven tower builds, decomposition reports,
 verification suites, evaluation, and bound tables.
 
-Exit codes: 0 all requested checks pass, 1 a check failed, 2 usage or
-configuration error.  All randomized checks are seeded and every report is
-byte-stable for a fixed (config, seed, version).
+Exit codes: 0 all requested checks pass, 1 a check failed or an internal
+invariant was violated, 2 usage or configuration error.  All randomized
+checks are seeded and every report is byte-stable for a fixed (config, seed,
+version).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .crossed import (
     sample_point,
     sample_subalgebra_element,
 )
-from .errors import RokhlinError
+from .errors import InvariantViolated, RokhlinError
 from .subshift import ClopenSet, PointWindow, SubstitutionSystem, Window
 from .towers import (
     admissible_sequences,
@@ -88,18 +89,26 @@ def load_config(args) -> RunConfig:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {args.config}: {e}")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {args.config} is not a JSON object")
     sys_cfg = raw["system"] if "system" in raw else raw
+    if not isinstance(sys_cfg, dict):
+        raise ConfigError("the system config is not a JSON object")
     depth_env = os.environ.get(DEPTH_ENV)
     if depth_env is not None:
-        sys_cfg = dict(sys_cfg, depth=int(depth_env))
+        try:
+            sys_cfg = dict(sys_cfg, depth=int(depth_env))
+        except ValueError:
+            raise ConfigError(
+                f"{DEPTH_ENV} must be an integer, got {depth_env!r}") from None
     try:
         system = SubstitutionSystem.from_config(sys_cfg)
-    except (KeyError, ValueError, RokhlinError) as e:
+    except (KeyError, TypeError, ValueError, RokhlinError) as e:
         raise ConfigError(f"bad system config: {e}")
     y_spec = args.y if getattr(args, "y", None) else raw.get("y")
     try:
         Y = _parse_y_spec(system, y_spec)
-    except (ValueError, KeyError, RokhlinError) as e:
+    except (ValueError, KeyError, TypeError, RokhlinError) as e:
         raise ConfigError(f"bad base-set spec: {e}")
     if Y.is_empty():
         raise ConfigError("the base set is empty")
@@ -107,11 +116,18 @@ def load_config(args) -> RunConfig:
     if variant not in ("standard", "full"):
         raise ConfigError(f"unknown variant {variant!r}")
     checks = raw.get("checks") or []
+    if not (isinstance(checks, list) and all(isinstance(c, str) for c in checks)):
+        raise ConfigError(f"checks must be a list of names, got {checks!r}")
     if getattr(args, "checks", None):
         checks = [c for c in args.checks.split(",") if c]
-    seed = args.seed if getattr(args, "seed", None) is not None \
-        else int(raw.get("seed", 0))
+    try:
+        seed = args.seed if getattr(args, "seed", None) is not None \
+            else int(raw.get("seed", 0))
+    except (TypeError, ValueError):
+        raise ConfigError(f"seed must be an integer, got {raw['seed']!r}") from None
     out = getattr(args, "out", None) or raw.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"out must be a file path, got {out!r}")
     return RunConfig(system=system, Y=Y, variant=variant, checks=checks,
                      seed=seed, out=out)
 
@@ -119,8 +135,11 @@ def load_config(args) -> RunConfig:
 def _emit(report: dict, out: str | None):
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ConfigError(f"cannot write report: {e}") from None
     else:
         sys.stdout.write(text)
 
@@ -425,7 +444,8 @@ def cmd_eval(args) -> int:
     try:
         with open(args.element) as fh:
             element = FormalElement.from_json(cfg.system, json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except (OSError, json.JSONDecodeError, AttributeError, KeyError,
+            TypeError, ValueError) as e:
         raise ConfigError(f"cannot read element: {e}")
     N = args.n
     if N < 1:
@@ -530,6 +550,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except InvariantViolated as e:
+        print(f"internal invariant violated: {e}", file=sys.stderr)
+        return 1
     except RokhlinError as e:
         print(f"config error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2

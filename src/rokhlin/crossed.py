@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    InvariantViolated,
     PreconditionViolated,
     WindowTooSmall,
     ZeroElement,
@@ -36,19 +37,18 @@ class CylinderFunction:
 
     __slots__ = ("system", "window", "values")
 
-    def __init__(self, system: SubstitutionSystem, window: Window, values,
-                 fill: complex = 0.0):
+    def __init__(self, system: SubstitutionSystem, window: Window, values):
         language = system.language(window.length)
         bad = set(values) - language
         if bad:
             raise ValueError(f"values on inadmissible words: {sorted(bad)[:4]}")
         self.system = system
         self.window = window
-        self.values = {w: complex(values.get(w, fill)) for w in language}
+        self.values = {w: complex(values.get(w, 0.0)) for w in language}
 
     @classmethod
     def constant(cls, system: SubstitutionSystem, value: complex) -> "CylinderFunction":
-        return cls(system, Window(0, 0), {}, fill=value)
+        return cls(system, Window(0, 0), {w: value for w in system.language(1)})
 
     @classmethod
     def indicator(cls, C: ClopenSet) -> "CylinderFunction":
@@ -495,26 +495,19 @@ def injectivity_witness(S: RokhlinSystem, a: FormalElement) -> InjectivityWitnes
     n = nonneg[0]
     support = a.terms[n].support_set()
     for l in range(S.m + 1):
-        r = S.heights[l]
-        for j in range(n, r):
+        comp = None
+        for j in range(n, S.heights[l]):
             hit = support & S.interiors[l].shift(j)
             if hit.is_empty():
                 continue
-            comp = gamma_component(a, S, l)
+            if comp is None:
+                comp = gamma_component(a, S, l)
             window = comp.window.shift(-j).hull(hit.window)
             word = sorted(hit.words_on(window))[0]
-            base_point = PointWindow(S.system, window, word).apply_shift(-j)
-            entry = comp.value_at(base_point)[j, j - n]
+            entry = comp.value(word, window.shift(j))[j, j - n]
             if entry != 0:
-                return InjectivityWitness(l=l, j=j, n=n,
-                                          word=base_point.word, value=entry)
-    raise AssertionError("no witness found for a nonzero subalgebra element")
-
-
-def injectivity_check(S: RokhlinSystem, a: FormalElement) -> bool:
-    """True when the symbolic evaluation of ``a`` is nonzero somewhere;
-    always true for nonzero subalgebra elements."""
-    return injectivity_witness(S, a) is not None
+                return InjectivityWitness(l=l, j=j, n=n, word=word, value=entry)
+    raise InvariantViolated("no witness found for a nonzero subalgebra element")
 
 
 # -- window approximation -----------------------------------------------------------
@@ -590,5 +583,5 @@ def approximate_by_window_constant(a: FormalElement, z: PointWindow,
         terms[n] = approximate_with_vanishing(f, [B], I, eps)[0]
     b = FormalElement(system, terms)
     if not in_ob_subalgebra(b, Y):
-        raise AssertionError("projected element left the subalgebra")
+        raise InvariantViolated("projected element left the subalgebra")
     return Y, b

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BaseMismatch, NotHermitian
+from .errors import BaseMismatch, InvariantViolated, NotHermitian
+from .matrixfn import block_diagonal
 from .subshift import ClopenSet, Window
 from .towers import RokhlinSystem, return_profile
 
@@ -64,24 +65,17 @@ class PositiveElement:
             raise ValueError("can only pad to a larger size")
         if size == self.size:
             return self
-        values = {}
-        for w, A in self.values.items():
-            B = np.zeros((size, size), dtype=complex)
-            B[: self.size, : self.size] = A
-            values[w] = B
-        return PositiveElement(self.base, size, values)
+        pad = np.zeros((size - self.size, size - self.size))
+        return PositiveElement(self.base, size,
+                               {w: block_diagonal([A, pad])
+                                for w, A in self.values.items()})
 
     def direct_sum(self, other: "PositiveElement") -> "PositiveElement":
         if self.base != other.base:
             raise BaseMismatch("direct sum needs a common base")
-        size = self.size + other.size
-        values = {}
-        for w in self.base:
-            B = np.zeros((size, size), dtype=complex)
-            B[: self.size, : self.size] = self.values[w]
-            B[self.size :, self.size :] = other.values[w]
-            values[w] = B
-        return PositiveElement(self.base, size, values)
+        return PositiveElement(self.base, self.size + other.size,
+                               {w: block_diagonal([self.values[w], other.values[w]])
+                                for w in self.base})
 
     def norm(self) -> float:
         return max((float(np.max(np.linalg.eigvalsh(A)))
@@ -214,7 +208,7 @@ def window_disjointness(Y: ClopenSet, k_max: int) -> bool:
     if k_max >= 1:
         least = return_profile(Y).times[0]
         if least < k_max + 1:
-            raise AssertionError(
+            raise InvariantViolated(
                 "disjoint translates but a return time below the window length")
     return True
 
@@ -237,8 +231,8 @@ def rc_upper_bound(S: RokhlinSystem, window: Window,
     bound = max(0.0, max(float(v) for v in per_level))
     separated = window_disjointness(S.Y, length - 1)
     if separated and bound > declared_dim:
-        raise AssertionError("separation certified but the bound exceeds the "
-                             "declared dimension")
+        raise InvariantViolated("separation certified but the bound exceeds "
+                                "the declared dimension")
     return RCBoundReport(window_length=length, heights=S.heights,
                          declared_dim=declared_dim, per_level=per_level,
                          bound=bound, separation_verified=separated)

@@ -6,7 +6,7 @@ class RokhlinError(Exception):
 
 
 class NonPrimitive(RokhlinError):
-    """The substitution is not primitive up to the configured check depth."""
+    """The substitution is not primitive (checked up to the Wielandt exponent)."""
 
 
 class PeriodicSystem(RokhlinError):
@@ -63,3 +63,9 @@ class NotHermitian(RokhlinError):
 
 class BaseMismatch(RokhlinError):
     """Two matrix-valued elements live over different base sets."""
+
+
+class InvariantViolated(RokhlinError):
+    """An internal invariant of a construction failed: a defect in the
+    workbench or in a hand-built system, not bad input.  Raised explicitly so
+    that it survives ``python -O``."""

@@ -14,6 +14,18 @@ from .errors import PathMismatch, WindowTooSmall
 from .subshift import ClopenSet, PointWindow, Window
 
 
+def block_diagonal(blocks) -> np.ndarray:
+    """The complex block-diagonal matrix with the given square blocks, in order."""
+    size = sum(B.shape[0] for B in blocks)
+    out = np.zeros((size, size), dtype=complex)
+    offset = 0
+    for B in blocks:
+        k = B.shape[0]
+        out[offset : offset + k, offset : offset + k] = B
+        offset += k
+    return out
+
+
 class MatrixCylinderFunction:
     """A function ``base -> M_size``, tabulated per admissible word."""
 
@@ -96,11 +108,6 @@ class MatrixCylinderFunction:
 
     def __sub__(self, other):
         return self._binary(other, lambda a, b: a - b)
-
-    def conjugate_transpose(self) -> "MatrixCylinderFunction":
-        return MatrixCylinderFunction(
-            self.base, self.window, self.size,
-            {w: M.conj().T for w, M in self.values.items()})
 
     def restrict(self, subset: ClopenSet) -> "MatrixCylinderFunction":
         """Restriction to a clopen subset of the base."""

@@ -5,7 +5,10 @@ consists of tuples ``(b_0, .., b_l)`` of matrix functions over the tower
 bases such that on every path set ``T_{l,mu}`` the top component equals the
 block-diagonal of the earlier components read along the path.  ``lift``
 inverts the symbolic evaluation: it rebuilds a formal series from any stage
-tuple, diagonal by diagonal, extending by zero off the tower levels.
+tuple one tower at a time.  Over a tower of height ``r`` it reads each word
+of the tabulation window once: a word on level ``h^j`` of the base carries
+the entries ``(j, j - n)`` of degree ``n`` and ``(j - n, j)`` of degree
+``-n``, and every other word gets zero.
 
 An approximating system replaces each base by its projection onto the
 coordinates ``[n1, n2 + r_l]`` when the underlying set is a product over
@@ -24,12 +27,17 @@ from .crossed import (
     gamma_component,
     gamma_symbolic,
     in_ob_subalgebra,
-    injectivity_check,
+    injectivity_witness,
     sample_subalgebra_element,
     _unit_disc,
 )
-from .errors import NotInStageAlgebra, NotProductWindowSet, PathMismatch
-from .matrixfn import MatrixCylinderFunction
+from .errors import (
+    InvariantViolated,
+    NotInStageAlgebra,
+    NotProductWindowSet,
+    PathMismatch,
+)
+from .matrixfn import MatrixCylinderFunction, block_diagonal
 from .subshift import ClopenSet, PointWindow, Window
 from .towers import AdmissiblePath, RokhlinSystem, admissible_sequences
 
@@ -84,11 +92,13 @@ def stage_from_gamma(a: FormalElement, S: RokhlinSystem,
 # -- gluing maps ------------------------------------------------------------------
 
 
-def _partial_sums(S: RokhlinSystem, mu):
-    sums = [0]
-    for idx in mu:
-        sums.append(sums[-1] + S.heights[idx])
-    return sums
+def _glued_value(path: AdmissiblePath, b: StageElement, word: str,
+                 window: Window) -> np.ndarray:
+    """The gluing along ``path`` at the point whose word on ``window`` is
+    ``word``: block ``s`` is component ``mu(s)`` read ``offsets[s]`` steps
+    along the orbit."""
+    return block_diagonal([b.components[idx].value(word, window.shift(-off))
+                           for idx, off in zip(path.mu, path.offsets)])
 
 
 def beta_path(S: RokhlinSystem, l: int, path: AdmissiblePath, b: StageElement,
@@ -103,44 +113,23 @@ def beta_path(S: RokhlinSystem, l: int, path: AdmissiblePath, b: StageElement,
         raise ValueError("need components for every tower below the path level")
     if not path.path_set.contains_point(x):
         raise PathMismatch(f"point is not in the path set of mu={path.mu}")
-    r = S.heights[l]
-    out = np.zeros((r, r), dtype=complex)
-    offset = 0
-    for s, idx in enumerate(path.mu):
-        p = _partial_sums(S, path.mu)[s]
-        block = b.components[idx].value_at(x.apply_shift(p))
-        size = S.heights[idx]
-        out[offset : offset + size, offset : offset + size] = block
-        offset += size
-    return out
+    return _glued_value(path, b, x.word, x.window)
 
 
-def _path_eval_window(S: RokhlinSystem, l: int, path: AdmissiblePath,
-                      b: StageElement, extra: Window | None = None) -> Window:
-    w = path.path_set.window
-    sums = _partial_sums(S, path.mu)
-    for s, idx in enumerate(path.mu):
-        w = w.hull(b.components[idx].window.shift(sums[s]))
-    if extra is not None:
-        w = w.hull(extra)
+def _path_eval_window(path: AdmissiblePath, b: StageElement,
+                      window: Window) -> Window:
+    """``window`` widened to carry the path set and every glued block."""
+    w = window.hull(path.path_set.window)
+    for idx, off in zip(path.mu, path.offsets):
+        w = w.hull(b.components[idx].window.shift(off))
     return w
 
 
-def _beta_values_on(S, l, path, b, window):
+def _beta_values_on(path: AdmissiblePath, b: StageElement,
+                    window: Window) -> dict:
     """Gluing values for every word of the path set, keyed by window word."""
-    sums = _partial_sums(S, path.mu)
-    r = S.heights[l]
-    out = {}
-    for w in path.path_set.words_on(window):
-        M = np.zeros((r, r), dtype=complex)
-        offset = 0
-        for s, idx in enumerate(path.mu):
-            block = b.components[idx].value(w, window.shift(-sums[s]))
-            size = S.heights[idx]
-            M[offset : offset + size, offset : offset + size] = block
-            offset += size
-        out[w] = M
-    return out
+    return {w: _glued_value(path, b, w, window)
+            for w in path.path_set.words_on(window)}
 
 
 def stage_violations(S: RokhlinSystem, b: StageElement, atol: float = STAGE_TOL):
@@ -151,8 +140,8 @@ def stage_violations(S: RokhlinSystem, b: StageElement, atol: float = STAGE_TOL)
         for path in admissible_sequences(S, l):
             if path.path_set.is_empty():
                 continue
-            window = _path_eval_window(S, l, path, b, extra=comp.window)
-            glued = _beta_values_on(S, l, path, b, window)
+            window = _path_eval_window(path, b, comp.window)
+            glued = _beta_values_on(path, b, window)
             for w, M in glued.items():
                 if not np.allclose(comp.value(w, window), M, rtol=0.0, atol=atol):
                     violations.append((l, path.mu, w))
@@ -187,11 +176,11 @@ def beta_boundary(S: RokhlinSystem, l: int, b: StageElement,
     paths = [p for p in admissible_sequences(S, l) if not p.path_set.is_empty()]
     window = D.window
     for path in paths:
-        window = _path_eval_window(S, l, path, b, extra=window)
+        window = _path_eval_window(path, b, window)
     values = {}
     origin = {}
     for path in paths:
-        glued = _beta_values_on(S, l, path, b, window)
+        glued = _beta_values_on(path, b, window)
         for w, M in glued.items():
             if w in values:
                 if not np.allclose(values[w], M, rtol=0.0, atol=atol):
@@ -204,7 +193,8 @@ def beta_boundary(S: RokhlinSystem, l: int, b: StageElement,
     expected = D.words_on(window)
     missing = expected - set(values)
     if missing:
-        raise AssertionError(f"boundary words not covered by any path: {missing}")
+        raise InvariantViolated(
+            f"boundary words not covered by any path: {sorted(missing)}")
     values = {w: values[w] for w in expected}
     return MatrixCylinderFunction(D, window, S.heights[l], values)
 
@@ -217,10 +207,12 @@ def _lift_single_tower(S: RokhlinSystem, l: int,
     """Series supported off the lower towers whose evaluation has top
     component ``c`` and zero components below.
 
-    Walks the diagonals of ``c``: degree ``n`` collects the entries
-    ``(j, j - n)`` as one coefficient, placed on the level sets ``h^j`` of the
-    base and extended by zero.  Upper diagonals ride on the adjoint of the
-    same construction applied to the conjugate transpose.
+    Reads every word of the tabulation window once.  A word outside the
+    lower towers lies on at most one level ``h^j`` of the base; its matrix
+    ``M`` is ``c`` at the base point ``h^{-j}``, read once.  Degree ``n``
+    (``0 <= n <= j``) takes ``M[j, j - n]`` at that word, and degree ``-n``
+    (``1 <= n <= j``) takes ``M[j - n, j]`` on the window shifted by ``n``;
+    every other word gets zero.
     """
     system = S.system
     r = S.heights[l]
@@ -235,41 +227,30 @@ def _lift_single_tower(S: RokhlinSystem, l: int,
     window = X_prev.window if not X_prev.is_empty() else T.window
     for j in range(r):
         window = window.hull(T.window.shift(-j)).hull(c.window.shift(-j))
-    level_words = {}
-    for j in range(r):
-        level_words[j] = T.shift(j).words_on(window)
-    prev_words = X_prev.words_on(window) if not X_prev.is_empty() else frozenset()
+    level_words = [T.shift(j).words_on(window) for j in range(r)]
+    prev_words = X_prev.words_on(window)
 
-    def diagonal_coefficient(matrix_at, n):
-        values = {}
-        for w in system.language(window.length):
-            if w in prev_words:
-                continue
-            hits = [j for j in range(n, r) if w in level_words[j]]
-            if not hits:
-                continue
-            assert len(hits) == 1, "distinct levels overlap outside lower towers"
-            j = hits[0]
-            base_point = PointWindow(system, window, w).apply_shift(-j)
-            value = matrix_at(base_point)[j, j - n]
-            if value != 0:
-                values[w] = value
-        if not values:
-            return None
-        return CylinderFunction(system, window, values)
-
-    terms = {}
-    for n in range(r):
-        f = diagonal_coefficient(c.value_at, n)
-        if f is not None:
-            terms[n] = f
-    upper = c.conjugate_transpose()
-    for n in range(1, r):
-        f = diagonal_coefficient(upper.value_at, n)
-        if f is not None:
-            g = f.conj().compose_shift(n)
-            terms[-n] = terms[-n] + g if -n in terms else g
-    return FormalElement(system, terms)
+    tables = {n: {} for n in (*range(r), *range(-1, -r, -1))}
+    for w in system.language(window.length):
+        if w in prev_words:
+            continue
+        hits = [j for j in range(r) if w in level_words[j]]
+        if not hits:
+            continue
+        if len(hits) > 1:
+            raise InvariantViolated(
+                f"levels {hits} of tower {l} overlap outside the lower towers "
+                f"at {w!r}")
+        j = hits[0]
+        M = c.value(w, window.shift(j))
+        for n in range(j + 1):
+            if M[j, j - n] != 0:
+                tables[n][w] = M[j, j - n]
+            if n and M[j - n, j] != 0:
+                tables[-n][w] = M[j - n, j]
+    return FormalElement(system, {
+        n: CylinderFunction(system, window.shift(max(0, -n)), values)
+        for n, values in tables.items() if values})
 
 
 def lift(S: RokhlinSystem, b: StageElement) -> FormalElement:
@@ -289,7 +270,7 @@ def lift(S: RokhlinSystem, b: StageElement) -> FormalElement:
         residue = b.components[l] - gamma_component(a, S, l)
         a = a + _lift_single_tower(S, l, residue)
     if not in_ob_subalgebra(a, S.Y):
-        raise AssertionError("lift left the orbit-breaking subalgebra")
+        raise InvariantViolated("lift left the orbit-breaking subalgebra")
     return a
 
 
@@ -321,7 +302,7 @@ def _repair_gluing(S: RokhlinSystem, components):
         for path in admissible_sequences(S, l):
             if path.path_set.is_empty():
                 continue
-            glued = _beta_values_on(S, l, path, staged, window)
+            glued = _beta_values_on(path, staged, window)
             for w, M in glued.items():
                 values[w] = M
         out.append(MatrixCylinderFunction(comp.base, window, comp.size, values))
@@ -459,7 +440,7 @@ def pullback_isomorphism_check(S: RokhlinSystem, samples: int = 100,
         a = sample_subalgebra_element(S.system, S.Y, rng, max(S.heights) + 1)
         if a.is_zero():
             continue
-        if not injectivity_check(S, a):
+        if injectivity_witness(S, a).value == 0:
             inject_ok = False
 
     return PullbackReport(boundary_compatible=boundary_ok,
@@ -498,8 +479,7 @@ class ApproximatingSystem:
     def shift_image(self, l: int, mu, s: int, word: str) -> str:
         """The index-shift map on projected words: substring at offset the
         partial sum of the first ``s - 1`` heights along the path."""
-        sums = _partial_sums(self.S, mu)
-        offset = sums[s - 1]
+        offset = sum(self.S.heights[idx] for idx in mu[: s - 1])
         width = self.window.length + self.S.heights[mu[s - 1]]
         return word[offset : offset + width]
 
@@ -563,19 +543,18 @@ def build_approximating_system(S: RokhlinSystem,
                 if image else system.empty_set()
             if not (preimage == path.path_set):
                 paths_ok = False
-            sums = _partial_sums(S, mu)
             for s in range(1, len(mu) + 1):
+                off = path.offsets[s - 1]
                 width = window.length + S.heights[mu[s - 1]]
-                shifted = frozenset(w[sums[s - 1] : sums[s - 1] + width]
-                                    for w in image)
+                shifted = frozenset(w[off : off + width] for w in image)
                 image_spaces[(l, mu, s)] = shifted
                 if not shifted <= spaces[mu[s - 1]]:
                     containment_ok = False
                 big = proj_windows[l]
                 for w in path.path_set.words_on(big) if image else ():
                     x = PointWindow(system, big, w)
-                    lhs = x.apply_shift(sums[s - 1]).word_on(proj_windows[mu[s - 1]])
-                    rhs = w[sums[s - 1] : sums[s - 1] + width]
+                    lhs = x.apply_shift(off).word_on(proj_windows[mu[s - 1]])
+                    rhs = w[off : off + width]
                     if lhs != rhs:
                         diagram_ok = False
     checks["path-preimage-matches"] = paths_ok
@@ -630,16 +609,8 @@ def phi_range_check(S: RokhlinSystem, A: ApproximatingSystem,
             mu = path.mu
             image = A.path_images.get((l, mu), frozenset())
             for z in image:
-                blocks = []
-                for s in range(1, len(mu) + 1):
-                    blocks.append(tables[mu[s - 1]][A.shift_image(l, mu, s, z)])
-                r = S.heights[l]
-                M = np.zeros((r, r), dtype=complex)
-                offset = 0
-                for block in blocks:
-                    size = block.shape[0]
-                    M[offset : offset + size, offset : offset + size] = block
-                    offset += size
+                M = block_diagonal([tables[mu[s - 1]][A.shift_image(l, mu, s, z)]
+                                    for s in range(1, len(mu) + 1)])
                 if not np.allclose(tables[l][z], M, rtol=0.0, atol=atol):
                     return PhiRangeResult(
                         ok=False,

@@ -69,9 +69,10 @@ class SubstitutionSystem:
 
     ``rules`` maps each letter to a nonempty word.  Primitivity (some power of
     the substitution sends every letter to a word containing every letter) is
-    checked at construction up to ``primitivity_check_depth``; the generated
-    subshift must be infinite, which the aperiodicity gate enforces by
-    requiring strictly increasing factor complexity.
+    checked at construction up to the Wielandt exponent ``(q - 1)^2 + 1`` of
+    a ``q``-letter alphabet, a power at which every primitive substitution
+    passes; the generated subshift must be infinite, which the aperiodicity
+    gate enforces by requiring strictly increasing factor complexity.
 
     ``language(L)`` is exact: admissible two-letter words are computed as a
     certified fixed point, and length-``L`` factors are collected from images
@@ -79,8 +80,7 @@ class SubstitutionSystem:
     all have length at least ``L``.
     """
 
-    def __init__(self, alphabet, rules, depth: int = DEFAULT_DEPTH,
-                 primitivity_check_depth: int | None = None):
+    def __init__(self, alphabet, rules, depth: int = DEFAULT_DEPTH):
         letters = tuple(alphabet)
         if len(letters) < 2:
             raise ValueError("alphabet needs at least two letters")
@@ -99,10 +99,6 @@ class SubstitutionSystem:
         if depth < 1:
             raise ValueError("depth must be positive")
         self.depth = depth
-        q = len(letters)
-        if primitivity_check_depth is None:
-            primitivity_check_depth = (q - 1) ** 2 + 1  # Wielandt exponent
-        self.primitivity_check_depth = primitivity_check_depth
 
         self._check_primitive()
         self._seed_letter, self._power = self._fixed_point_data()
@@ -121,13 +117,14 @@ class SubstitutionSystem:
     def _check_primitive(self):
         reach = {a: set(self.rules[a]) for a in self.alphabet}
         full = set(self.alphabet)
-        for _ in range(self.primitivity_check_depth):
+        wielandt = (len(full) - 1) ** 2 + 1
+        for _ in range(wielandt):
             if all(reach[a] == full for a in self.alphabet):
                 return
             reach = {a: set().union(*(reach[b] for b in reach[a]))
                      for a in self.alphabet}
         raise NonPrimitive(
-            f"no power up to {self.primitivity_check_depth} maps every letter "
+            f"no power up to {wielandt} maps every letter "
             "onto the full alphabet")
 
     def _fixed_point_data(self):
@@ -261,15 +258,13 @@ class ClopenSet:
 
     __slots__ = ("system", "window", "words")
 
-    def __init__(self, system: SubstitutionSystem, window: Window, words,
-                 _canonical: bool = False):
+    def __init__(self, system: SubstitutionSystem, window: Window, words):
         words = frozenset(words)
-        if not _canonical:
-            language = system.language(window.length)
-            bad = words - language
-            if bad:
-                raise ValueError(f"words not in the language: {sorted(bad)[:4]}")
-            window, words = _canonicalize(system, window, words)
+        language = system.language(window.length)
+        bad = words - language
+        if bad:
+            raise ValueError(f"words not in the language: {sorted(bad)[:4]}")
+        window, words = _canonicalize(system, window, words)
         self.system = system
         self.window = window
         self.words = words

@@ -305,11 +305,16 @@ def partition_identities(S: RokhlinSystem) -> PartitionReport:
 @dataclass(frozen=True)
 class AdmissiblePath:
     """An ordered composition of a height into lower heights, with the clopen
-    set of boundary points that traverse exactly that sequence of towers."""
+    set of boundary points that traverse exactly that sequence of towers.
+
+    ``offsets[s]`` is the sum of the heights before block ``s``: the orbit
+    step at which the path enters tower ``mu[s]`` and the row where that
+    tower's block starts in the glued matrix."""
 
     l: int
     mu: tuple
     path_set: ClopenSet
+    offsets: tuple
 
     def to_json(self) -> dict:
         return {"l": self.l, "mu": list(self.mu), "set": self.path_set.to_json()}
@@ -341,11 +346,14 @@ def admissible_sequences(S: RokhlinSystem, l: int) -> list:
     out = []
     for mu in sorted(paths):
         piece = S.bases[l]
+        offsets = []
         partial = 0
         for idx in mu:
+            offsets.append(partial)
             piece = piece & S.bases[idx].shift(-partial)
             partial += S.heights[idx]
-        out.append(AdmissiblePath(l=l, mu=mu, path_set=piece))
+        out.append(AdmissiblePath(l=l, mu=mu, path_set=piece,
+                                  offsets=tuple(offsets)))
     return out
 
 

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from rokhlin import cli
 from rokhlin.cli import main
+from rokhlin.errors import InvariantViolated
 
 HERE = Path(__file__).parent
 CONFIGS = HERE / "configs"
@@ -13,6 +15,11 @@ REFERENCE = ["fibonacci", "period_doubling", "thue_morse"]
 
 def run(*argv):
     return main(list(argv))
+
+
+def assert_one_line_error(capsys, prefix="config error:"):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
 
 
 class TestTowersCommand:
@@ -45,6 +52,34 @@ class TestTowersCommand:
                         "rules": {"0": "01", "1": "0"}},
              "y": {"window": [0, 1], "words": []}}))
         assert run("towers", "--config", str(cfg)) == 2
+
+    @pytest.mark.parametrize("text", [
+        "[1, 2]",
+        '{"system": 5}',
+        '{"alphabet": ["0", "1"], "rules": ["01", "0"]}',
+        '{"alphabet": ["0", "1"], "rules": {"0": "01", "1": "0"}, '
+        '"y": {"window": 5, "words": []}}',
+        '{"alphabet": ["0", "1"], "rules": {"0": "01", "1": "0"}, '
+        '"seed": "abc"}',
+        '{"alphabet": ["0", "1"], "rules": {"0": "01", "1": "0"}, '
+        '"checks": 5}',
+        '{"alphabet": ["0", "1"], "rules": {"0": "01", "1": "0"}, '
+        '"checks": [5]}',
+        '{"alphabet": ["0", "1"], "rules": {"0": "01", "1": "0"}, '
+        '"out": 5}',
+    ])
+    def test_malformed_config_exit_two(self, text, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        assert run("towers", "--config", str(cfg)) == 2
+        assert_one_line_error(capsys)
+
+    def test_unwritable_out_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "towers.json"
+        rc = run("towers", "--config", str(CONFIGS / "fibonacci.json"),
+                 "--out", str(out))
+        assert rc == 2
+        assert_one_line_error(capsys)
 
 
 class TestVerifyCommand:
@@ -103,6 +138,16 @@ class TestVerifyCommand:
             verdicts.append([(c["name"], c["passed"])
                              for c in report["checks"]])
         assert verdicts[0] == verdicts[1]
+
+    def test_invariant_violation_exit_one(self, monkeypatch, capsys):
+        def broken(S):
+            raise InvariantViolated("planted")
+
+        monkeypatch.setattr(cli, "verify_rokhlin_axioms", broken)
+        rc = run("verify", "--config", str(CONFIGS / "fibonacci.json"),
+                 "--checks", "axioms")
+        assert rc == 1
+        assert_one_line_error(capsys, "internal invariant violated: planted")
 
     def test_unknown_check_exit_two(self, capsys):
         rc = run("verify", "--config", str(CONFIGS / "fibonacci.json"),
@@ -177,6 +222,19 @@ class TestEvalCommand:
                  "--element", str(elem), "--n", "2", "--x", "0:00")
         assert rc == 2
 
+    @pytest.mark.parametrize("element", [
+        {"terms": 5},
+        [],
+        {"terms": [{"n": 1, "window": [0, 0], "values": []}]},
+    ])
+    def test_malformed_element_exit_two(self, element, tmp_path, capsys):
+        elem = tmp_path / "elem.json"
+        elem.write_text(json.dumps(element))
+        rc = run("eval", "--config", str(CONFIGS / "period_doubling.json"),
+                 "--element", str(elem), "--n", "2", "--x", "0:0100")
+        assert rc == 2
+        assert_one_line_error(capsys)
+
 
 class TestRcBoundCommand:
     def test_table_and_headline(self, capsys):
@@ -235,3 +293,8 @@ class TestDepthEnv:
         monkeypatch.delenv("ROKHLIN_DEPTH")
         out = tmp_path / "t.json"
         assert run("towers", "--config", str(cfg), "--out", str(out)) == 0
+
+    def test_non_integer_depth_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("ROKHLIN_DEPTH", "abc")
+        assert run("towers", "--config", str(CONFIGS / "fibonacci.json")) == 2
+        assert_one_line_error(capsys)

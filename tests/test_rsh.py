@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rokhlin
 from rokhlin.crossed import (
     CylinderFunction,
     FormalElement,
@@ -196,6 +202,30 @@ class TestLift:
         top = MatrixCylinderFunction.identity(pd_full.bases[1], 2)
         with pytest.raises(NotInStageAlgebra):
             lift(pd_full, StageElement((bad0, top)))
+
+    # A hand-built height-2 tower over the whole space: both of its levels are
+    # the whole space, so every word lies on two levels at once.
+    OVERLAPPING_LEVELS = """
+from rokhlin import (InvariantViolated, MatrixCylinderFunction, RokhlinSystem,
+                     StageElement, lift, period_doubling)
+pd = period_doubling()
+full = pd.full_set()
+S = RokhlinSystem(pd, "full", full, [full], [2])
+try:
+    lift(S, StageElement((MatrixCylinderFunction.identity(full, 2),)))
+except InvariantViolated:
+    print("InvariantViolated")
+"""
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimised"])
+    def test_overlapping_levels_raise_invariant_violated(self, flags):
+        src = str(Path(rokhlin.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", self.OVERLAPPING_LEVELS],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=path))
+        assert done.stdout == "InvariantViolated\n"
 
 
 class TestPullback:
