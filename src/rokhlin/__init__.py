@@ -45,7 +45,6 @@ from .crossed import (
     InjectivityWitness,
     approximate_by_window_constant,
     approximate_with_vanishing,
-    forbidden_set,
     gamma_component,
     gamma_eval,
     gamma_symbolic,

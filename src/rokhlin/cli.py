@@ -184,8 +184,9 @@ def _check_partitions(ctx):
 
 def _check_paths(ctx):
     S = ctx["S"]
-    ok = all(boundary_path_cover(S, l) for l in range(S.m + 1))
-    return CheckResult("paths", ok, 0.0)
+    failed = [str(l) for l in range(S.m + 1) if not boundary_path_cover(S, l)]
+    return CheckResult("paths", not failed, 0.0,
+                       f"levels {','.join(failed)}" if failed else "")
 
 
 def _check_homomorphism(ctx):

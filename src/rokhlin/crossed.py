@@ -7,10 +7,12 @@ and ``(f u^n)* = (conj(f) o h^n) u^{-n}``.
 
 Membership in the orbit-breaking subalgebra of a set ``Y`` is the termwise
 vanishing condition: ``f_n`` must vanish on ``Y_n``, the union of the first
-``n`` forward (or backward, for negative ``n``) translates of ``Y``.  The
+``n`` forward (or backward, for negative ``n``) translates of ``Y``
+(``Y.translates(n)``, kept on ``Y``).  The
 evaluation ``gamma_{N,Z}`` sends such an element to the matrix function
 ``x -> [a_{j-k}(h^j(x))]_{j,k}`` on ``Z``; it is a unital *-homomorphism
-precisely because of the vanishing condition.
+precisely because of the vanishing condition.  Tower levels come stored
+on the ``RokhlinSystem``.
 """
 
 from __future__ import annotations
@@ -238,32 +240,19 @@ class FormalElement:
 # -- orbit-breaking membership ------------------------------------------------
 
 
-def forbidden_set(Y: ClopenSet, n: int) -> ClopenSet:
-    """The set where the degree-``n`` coefficient must vanish."""
-    system = Y.system
-    out = system.empty_set()
-    if n > 0:
-        for j in range(n):
-            out = out | Y.shift(j)
-    elif n < 0:
-        for j in range(1, -n + 1):
-            out = out | Y.shift(-j)
-    return out
-
-
 def in_ob_subalgebra(a: FormalElement, Y: ClopenSet) -> bool:
     """Termwise vanishing test for membership in the orbit-breaking subalgebra."""
-    return all(f.vanishes_on(forbidden_set(Y, n)) for n, f in a.terms.items())
+    return all(f.vanishes_on(Y.translates(n)) for n, f in a.terms.items())
 
 
 def project_to_subalgebra(a: FormalElement, Y: ClopenSet) -> FormalElement:
-    """Zero out each coefficient on its forbidden set."""
+    """Zero out each degree-``n`` coefficient on ``Y_n``."""
     terms = {}
     for n, f in a.terms.items():
-        B = forbidden_set(Y, n)
+        B = Y.translates(n)
         w = f.window.hull(B.window) if not B.is_empty() else f.window
         table = f.values_on(w)
-        dead = B.words_on(w) if not B.is_empty() else frozenset()
+        dead = B.words_on(w)
         terms[n] = CylinderFunction(
             a.system, w, {word: (0.0 if word in dead else v)
                           for word, v in table.items()})
@@ -363,7 +352,7 @@ def sample_subalgebra_element(system: SubstitutionSystem, Y: ClopenSet, rng,
 
     Coefficients get random values on the complex unit disc over small random
     windows (left ends drawn from ``lo_range``), then are projected into the
-    subalgebra by zeroing each degree on its forbidden set; degrees whose
+    subalgebra by zeroing each degree-``n`` coefficient on ``Y_n``; degrees whose
     coefficient dies entirely are dropped.
     """
     degrees = list(range(-max_abs_degree, max_abs_degree + 1))
@@ -477,7 +466,7 @@ def injectivity_witness(S: RokhlinSystem, a: FormalElement) -> InjectivityWitnes
     """Explicit nonzero entry of the symbolic evaluation of a nonzero element.
 
     For the least nonnegative degree ``n`` with nonzero coefficient, the
-    coefficient's support avoids the forbidden set, so it meets some level
+    coefficient's support avoids ``Y_n``, so it meets some level
     ``h^j(T_l^0)`` with ``j >= n``; the entry ``(j, j - n)`` over tower ``l``
     then reproduces the coefficient value.  Negative-degree-only elements are
     handled through the adjoint.
@@ -497,7 +486,7 @@ def injectivity_witness(S: RokhlinSystem, a: FormalElement) -> InjectivityWitnes
     for l in range(S.m + 1):
         comp = None
         for j in range(n, S.heights[l]):
-            hit = support & S.interiors[l].shift(j)
+            hit = support & S.levels[l][j]
             if hit.is_empty():
                 continue
             if comp is None:
@@ -579,8 +568,7 @@ def approximate_by_window_constant(a: FormalElement, z: PointWindow,
     I = z.window
     terms = {}
     for n, f in a.terms.items():
-        B = forbidden_set(Y, n)
-        terms[n] = approximate_with_vanishing(f, [B], I, eps)[0]
+        terms[n] = approximate_with_vanishing(f, [Y.translates(n)], I, eps)[0]
     b = FormalElement(system, terms)
     if not in_ob_subalgebra(b, Y):
         raise InvariantViolated("projected element left the subalgebra")

@@ -202,9 +202,9 @@ def window_disjointness(Y: ClopenSet, k_max: int) -> bool:
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    for k in range(1, k_max + 1):
-        if not (Y.shift(k) & Y).is_empty():
-            return False
+    # h^k(Y) meets Y exactly when Y meets h^{-k}(Y)
+    if not (Y & Y.translates(-k_max)).is_empty():
+        return False
     if k_max >= 1:
         least = return_profile(Y).times[0]
         if least < k_max + 1:

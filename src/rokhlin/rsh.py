@@ -217,7 +217,7 @@ def _lift_single_tower(S: RokhlinSystem, l: int,
     system = S.system
     r = S.heights[l]
     T = S.bases[l]
-    X_prev = S.tower_union(l - 1) if l > 0 else system.empty_set()
+    X_prev = S.tower_union(l - 1)
     if l > 0:
         boundary = c.restrict(S.boundaries[l])
         if not boundary.is_zero():
@@ -327,27 +327,38 @@ def sample_stage_element(S: RokhlinSystem, rng,
     return _repair_gluing(S, components)
 
 
+def _basis_slots(S: RokhlinSystem, windows, level: int) -> list:
+    """``(tower, word, j, k)`` of every matrix-unit generator, in basis order;
+    there are ``sum_i |words_i| * r_i^2`` of them."""
+    return [(i, word, j, k)
+            for i in range(level + 1)
+            for word in sorted(S.bases[i].words_on(windows[i]))
+            for j in range(S.heights[i]) for k in range(S.heights[i])]
+
+
+def _basis_element(S: RokhlinSystem, windows, level: int,
+                   i: int, word: str, j: int, k: int) -> StageElement:
+    """The unit ``e_{jk}`` at ``word`` of tower ``i``, repaired into the gluing."""
+    r = S.heights[i]
+    unit = np.zeros((r, r), dtype=complex)
+    unit[j, k] = 1.0
+    components = []
+    for ii in range(level + 1):
+        rr = S.heights[ii]
+        values = {w: (unit if ii == i and w == word else np.zeros((rr, rr)))
+                  for w in S.bases[ii].words_on(windows[ii])}
+        components.append(MatrixCylinderFunction(
+            S.bases[ii], windows[ii], rr, values))
+    return _repair_gluing(S, components)
+
+
 def stage_basis_elements(S: RokhlinSystem, level: int | None = None):
     """Matrix-unit-times-word-indicator generators, repaired into the gluing."""
     if level is None:
         level = S.m
     windows = _stage_windows(S)
-    for i in range(level + 1):
-        r = S.heights[i]
-        for word in sorted(S.bases[i].words_on(windows[i])):
-            for j in range(r):
-                for k in range(r):
-                    unit = np.zeros((r, r), dtype=complex)
-                    unit[j, k] = 1.0
-                    components = []
-                    for ii in range(level + 1):
-                        rr = S.heights[ii]
-                        values = {w: (unit if ii == i and w == word
-                                      else np.zeros((rr, rr)))
-                                  for w in S.bases[ii].words_on(windows[ii])}
-                        components.append(MatrixCylinderFunction(
-                            S.bases[ii], windows[ii], rr, values))
-                    yield _repair_gluing(S, components)
+    return (_basis_element(S, windows, level, *slot)
+            for slot in _basis_slots(S, windows, level))
 
 
 # -- pullback verification ------------------------------------------------------------
@@ -385,16 +396,16 @@ def pullback_isomorphism_check(S: RokhlinSystem, samples: int = 100,
 
     The matrix-unit basis is included in full by default; ``basis_limit``
     thins it to an evenly spaced subset for systems whose bases carry many
-    words.
+    words, and only the kept elements are built.
     """
     rng = np.random.default_rng(seed)
-    pool = []
-    basis = list(stage_basis_elements(S))
-    if basis_limit is not None and len(basis) > basis_limit:
-        stride = len(basis) / basis_limit
-        basis = [basis[int(i * stride)] for i in range(basis_limit)]
-    pool.extend(basis)
-    while len(pool) < max(samples, len(basis)):
+    windows = _stage_windows(S)
+    slots = _basis_slots(S, windows, S.m)
+    if basis_limit is not None and len(slots) > basis_limit:
+        stride = len(slots) / basis_limit
+        slots = [slots[int(i * stride)] for i in range(basis_limit)]
+    pool = [_basis_element(S, windows, S.m, *slot) for slot in slots]
+    while len(pool) < max(samples, len(slots)):
         if rng.uniform() < 0.5:
             a = sample_subalgebra_element(S.system, S.Y, rng,
                                           max(S.heights) + 1)
@@ -418,7 +429,6 @@ def pullback_isomorphism_check(S: RokhlinSystem, samples: int = 100,
         if lower is None:
             break
         l = S.m
-        windows = _stage_windows(S)
         r = S.heights[l]
         values = {w: np.array([[_unit_disc(rng) for _ in range(r)]
                                for _ in range(r)])

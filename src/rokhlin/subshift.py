@@ -4,6 +4,7 @@ A substitution on a finite alphabet generates a minimal subshift when it is
 primitive; everything downstream (towers, evaluation homomorphisms, stage
 algebras) works with clopen subsets of that subshift, represented exactly as
 finite sets of admissible words over a coordinate window.
+``ClopenSet.translates`` computes and keeps the translate unions ``Y_n``.
 
 Conventions: the shift ``h`` is the backwards shift, ``h(x)_k = x_{k+1}``.
 Consequently ``h^j`` moves a constraint at coordinate ``k`` to ``k - j``.
@@ -256,7 +257,7 @@ class ClopenSet:
     (same set of points), tested on a common window.
     """
 
-    __slots__ = ("system", "window", "words")
+    __slots__ = ("system", "window", "words", "_translates")
 
     def __init__(self, system: SubstitutionSystem, window: Window, words):
         words = frozenset(words)
@@ -335,6 +336,22 @@ class ClopenSet:
     def shift(self, j: int) -> "ClopenSet":
         """The image ``h^j`` of this set; a constraint at ``k`` moves to ``k - j``."""
         return ClopenSet(self.system, self.window.shift(-j), self.words)
+
+    def translates(self, n: int) -> "ClopenSet":
+        """``Y_n``: the union of ``h^0 .. h^{n-1}`` of this set for ``n > 0``,
+        of ``h^{-1} .. h^n`` for ``n < 0``, empty for ``n = 0``.  Built as
+        prefix unions and kept on the (immutable) set from the first call on.
+        """
+        try:
+            forward, backward = self._translates
+        except AttributeError:
+            empty = self.system.empty_set()
+            forward, backward = self._translates = ([empty], [empty])
+        unions = forward if n >= 0 else backward
+        while len(unions) <= abs(n):
+            k = len(unions)
+            unions.append(unions[-1] | self.shift(k - 1 if n > 0 else -k))
+        return unions[abs(n)]
 
     def is_empty(self) -> bool:
         return not self.words

@@ -6,6 +6,9 @@ levels ``h^j(T_l^0)`` tile the space.  Two constructions are provided: the
 ``standard`` variant takes each base to be the exact return-time fiber, the
 ``full`` variant takes ``T_l = Y \\cap h^{-r_l}(Y)``.  Both share the same
 interiors ``T_l^0`` and the same heights.
+``RokhlinSystem`` derives its levels and tower unions ``X_l`` once, and
+``admissible_sequences`` keeps each tower's paths on it; ``Y_n`` comes from
+``ClopenSet.translates``.
 """
 
 from __future__ import annotations
@@ -45,15 +48,11 @@ def return_time_bound(Y: ClopenSet, depth: int | None = None) -> int:
     """Least ``R`` such that every point enters ``Y`` within ``R`` forward steps."""
     if Y.is_empty():
         raise ValueError("Y must be nonempty")
-    system = Y.system
     if depth is None:
-        depth = system.depth
-    full = system.full_set()
-    union = Y.shift(-1)
+        depth = Y.system.depth
     for r in range(1, depth + 1):
-        if union == full:
+        if Y.translates(-r).is_full():
             return r
-        union = union | Y.shift(-(r + 1))
     raise BoundSearchExceeded(
         f"no forward-return bound within depth {depth}; "
         "the base set is too thin for the configured enumeration depth")
@@ -74,9 +73,10 @@ def return_profile(Y: ClopenSet, depth: int | None = None) -> ReturnProfile:
 
 
 class RokhlinSystem:
-    """Tower bases with heights; interiors and boundaries are derived.
+    """Tower bases with heights; everything else is derived once, here.
 
-    ``D_l = T_l \\cap (T_0 \\cup .. \\cup T_{l-1})`` and ``T_l^0 = T_l - D_l``.
+    ``D_l = T_l \\cap (T_0 \\cup .. \\cup T_{l-1})`` and ``T_l^0 = T_l - D_l``;
+    ``levels[l][j]`` is ``h^j(T_l^0)`` for ``0 <= j < r_l``.
     The constructor accepts arbitrary data so that the verifier can be run
     against hand-built (possibly invalid) systems.
     """
@@ -94,30 +94,40 @@ class RokhlinSystem:
         self.heights = tuple(int(r) for r in heights)
         boundaries = []
         interiors = []
+        levels = []
+        unions = []
         seen = system.empty_set()
-        for T in self.bases:
+        X = system.empty_set()
+        for T, r in zip(self.bases, self.heights):
             D = T & seen
             boundaries.append(D)
             interiors.append(T - D)
+            levels.append(tuple(interiors[-1].shift(j) for j in range(r)))
+            for j in range(r):
+                X = X | T.shift(j)
+            unions.append(X)
             seen = seen | T
         self.boundaries = tuple(boundaries)
         self.interiors = tuple(interiors)
+        self.levels = tuple(levels)
+        self._tower_unions = (system.empty_set(), *unions)
+        self._bases_union = seen
+        self._paths = {}
 
     @property
     def m(self) -> int:
         return len(self.bases) - 1
 
     def level(self, l: int, j: int) -> ClopenSet:
-        """The ``j``-th level ``h^j(T_l^0)`` of the ``l``-th tower."""
-        return self.interiors[l].shift(j)
+        """The ``j``-th level ``h^j(T_l^0)`` of the ``l``-th tower, ``0 <= j < r_l``."""
+        if not 0 <= j < self.heights[l]:
+            raise IndexError(f"tower {l} has no level {j}")
+        return self.levels[l][j]
 
     def tower_union(self, l: int) -> ClopenSet:
-        """``X_l``: the union of all levels of towers ``0 .. l`` (closed bases)."""
-        out = self.system.empty_set()
-        for i in range(l + 1):
-            for j in range(self.heights[i]):
-                out = out | self.bases[i].shift(j)
-        return out
+        """``X_l``: the union of all levels of towers ``0 .. l`` (closed bases);
+        ``X_{-1}`` is empty."""
+        return self._tower_unions[l + 1]
 
     def verification_window(self) -> Window:
         w = self.Y.window
@@ -184,10 +194,7 @@ def verify_rokhlin_axioms(S: RokhlinSystem,
     """
     profile = return_profile(S.Y, depth)
     conditions = {}
-    union = S.system.empty_set()
-    for T in S.bases:
-        union = union | T
-    conditions["bases-cover-Y"] = union == S.Y
+    conditions["bases-cover-Y"] = S._bases_union == S.Y
     conditions["heights-nondecreasing"] = all(
         a <= b for a, b in zip(S.heights, S.heights[1:]))
     conditions["tops-return-to-Y"] = all(
@@ -246,59 +253,31 @@ def partition_identities(S: RokhlinSystem) -> PartitionReport:
     """
     system = S.system
     window = S.verification_window()
-    full_words = system.language(window.length)
     rm = max(S.heights)
-    identities = {}
+    Y = S.Y
 
-    def check(name, pieces, target):
+    def partitions(pieces, target):
         union = _disjoint_union(system, pieces, window)
-        identities[name] = union is not None and union == target.words_on(window)
+        return union is not None and union == target.words_on(window)
 
-    check("interiors-partition-Y", S.interiors, S.Y)
-
-    levels = [S.level(l, j)
-              for l in range(S.m + 1) for j in range(S.heights[l])]
-    union = _disjoint_union(system, levels, window)
-    identities["levels-partition-X"] = union is not None and union == full_words
-
-    check("tops-partition-Y",
-          [S.interiors[l].shift(S.heights[l]) for l in range(S.m + 1)], S.Y)
-
-    ok_fwd = True
-    for n in range(rm + 1):
-        target = system.empty_set()
-        for j in range(n):
-            target = target | S.Y.shift(j)
-        pieces = [S.level(l, j) for l in range(S.m + 1)
-                  for j in range(min(n, S.heights[l]))]
-        union = _disjoint_union(system, pieces, window)
-        ok_fwd = ok_fwd and union is not None and union == target.words_on(window)
-    identities["forward-union-partition"] = ok_fwd
-
-    ok_bwd = True
-    for n in range(1, rm + 1):
-        target = system.empty_set()
-        for j in range(1, n + 1):
-            target = target | S.Y.shift(-j)
-        pieces = [S.interiors[l].shift(S.heights[l] - j)
-                  for l in range(S.m + 1)
-                  for j in range(1, min(n, S.heights[l]) + 1)]
-        union = _disjoint_union(system, pieces, window)
-        ok_bwd = ok_bwd and union is not None and union == target.words_on(window)
-    identities["backward-union-partition"] = ok_bwd
-
-    fwd = system.empty_set()
-    for n in range(rm):
-        fwd = fwd | S.Y.shift(n)
-    identities["orbit-of-Y-covers-X"] = fwd == system.full_set()
-
-    complement_pieces = [S.level(l, j) for l in range(S.m + 1)
-                         for j in range(1, S.heights[l])]
-    union = _disjoint_union(system, complement_pieces, window)
-    identities["complement-partition"] = (
-        union is not None
-        and union == (system.full_set() - S.Y).words_on(window))
-
+    identities = {
+        "interiors-partition-Y": partitions(S.interiors, Y),
+        "levels-partition-X": partitions(
+            [L for row in S.levels for L in row], system.full_set()),
+        "tops-partition-Y": partitions(
+            [T0.shift(r) for T0, r in zip(S.interiors, S.heights)], Y),
+        "forward-union-partition": all(
+            partitions([L for row in S.levels for L in row[:n]],
+                       Y.translates(n))
+            for n in range(rm + 1)),
+        "backward-union-partition": all(
+            partitions([L for row in S.levels for L in row[-n:]],
+                       Y.translates(-n))
+            for n in range(1, rm + 1)),
+        "orbit-of-Y-covers-X": Y.translates(rm) == system.full_set(),
+        "complement-partition": partitions(
+            [L for row in S.levels for L in row[1:]], system.full_set() - Y),
+    }
     return PartitionReport(identities=identities, window=window)
 
 
@@ -326,9 +305,13 @@ def admissible_sequences(S: RokhlinSystem, l: int) -> list:
     A path ``mu`` is a sequence over ``{0 .. l-1}`` whose heights sum to
     ``r_l``; its set is ``T_l`` intersected with the pulled-back bases along
     the partial sums.  Many path sets are legitimately empty.
+    Built on the first call and kept on ``S``: later calls return the same
+    list, which no caller mutates.
     """
     if not (0 <= l <= S.m):
         raise ValueError(f"tower index {l} out of range")
+    if l in S._paths:
+        return S._paths[l]
     target = S.heights[l]
     paths = []
 
@@ -354,6 +337,7 @@ def admissible_sequences(S: RokhlinSystem, l: int) -> list:
             partial += S.heights[idx]
         out.append(AdmissiblePath(l=l, mu=mu, path_set=piece,
                                   offsets=tuple(offsets)))
+    S._paths[l] = out
     return out
 
 
@@ -378,22 +362,22 @@ def boundary_path_cover(S: RokhlinSystem, l: int) -> bool:
     if cover != D:
         return False
 
-    X_prev = S.tower_union(l - 1) if l > 0 else system.empty_set()
+    X_prev = S.tower_union(l - 1)
     X_l = S.tower_union(l)
-    levels = [S.level(i, j) for i in range(l + 1) for j in range(S.heights[i])]
+    levels = [L for row in S.levels[:l + 1] for L in row]
     union = _disjoint_union(system, levels, window)
     if union is None or union != X_l.words_on(window):
         return False
 
     T, r = S.bases[l], S.heights[l]
+    shifted = [T.shift(j) for j in range(r)]
     for j1 in range(r):
         for j2 in range(r):
             if j1 == j2:
                 continue
-            overlap = T.shift(j1) & T.shift(j2)
-            if not overlap.issubset(X_prev):
+            if not (shifted[j1] & shifted[j2]).issubset(X_prev):
                 return False
-            if not (T.shift(j1) & S.interiors[l].shift(j2)).is_empty():
+            if not (shifted[j1] & S.levels[l][j2]).is_empty():
                 return False
     for j in range(r):
         entering = T & X_prev.shift(-j)

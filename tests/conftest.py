@@ -7,7 +7,7 @@ from rokhlin.subshift import (
     period_doubling,
     thue_morse,
 )
-from rokhlin.towers import build_towers
+from rokhlin.towers import RokhlinSystem, build_towers
 
 FIB_RULES = {"0": "01", "1": "0"}
 PD_RULES = {"0": "01", "1": "00"}
@@ -74,3 +74,18 @@ def rudin():
     are nonempty, so the gluing machinery is exercised nonvacuously."""
     system = SubstitutionSystem(["a", "b", "c", "d"], RUDIN_RULES)
     return build_towers(system.cylinder(Window(0, 0), "a"), "full")
+
+
+@pytest.fixture(scope="session")
+def pd101_defects(pd):
+    """Hand-built tower systems on the period-doubling cylinder 101, whose
+    true heights are (2, 6, 14), each with one planted defect: the top
+    height one short, the middle height one long, the top tower dropped."""
+    S = build_towers(pd.cylinder(Window(0, 2), "101"), "full")
+
+    def make(bases, heights):
+        return RokhlinSystem(pd, "full", S.Y, bases, heights)
+
+    return {"short-top": make(S.bases, (2, 6, 13)),
+            "tall-middle": make(S.bases, (2, 7, 14)),
+            "no-top": make(S.bases[:2], S.heights[:2])}

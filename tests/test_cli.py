@@ -149,6 +149,13 @@ class TestVerifyCommand:
         assert rc == 1
         assert_one_line_error(capsys, "internal invariant violated: planted")
 
+    def test_paths_check_names_failing_levels(self, pd101_defects, pd_full):
+        failed = cli.CHECKS["paths"]({"S": pd101_defects["tall-middle"]})
+        assert not failed.passed
+        assert failed.detail == "levels 1,2"
+        passed = cli.CHECKS["paths"]({"S": pd_full})
+        assert passed.passed and passed.detail == ""
+
     def test_unknown_check_exit_two(self, capsys):
         rc = run("verify", "--config", str(CONFIGS / "fibonacci.json"),
                  "--checks", "axioms,nonsense")

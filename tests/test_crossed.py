@@ -7,7 +7,6 @@ from rokhlin.crossed import (
     FormalElement,
     approximate_by_window_constant,
     approximate_with_vanishing,
-    forbidden_set,
     gamma_eval,
     gamma_symbolic,
     homomorphism_check,
@@ -32,15 +31,15 @@ def indicator_u(system, window, word, degree=1):
 
 class TestForbiddenSets:
     def test_zero_is_empty(self, fib_y):
-        assert forbidden_set(fib_y, 0).is_empty()
+        assert fib_y.translates(0).is_empty()
 
     def test_positive_unrolls_forward(self, fib, fib_y):
         expect = fib_y | fib_y.shift(1)
-        assert forbidden_set(fib_y, 2) == expect
+        assert fib_y.translates(2) == expect
 
     def test_negative_unrolls_backward(self, fib, fib_y):
-        assert forbidden_set(fib_y, -1) == fib_y.shift(-1)
-        assert forbidden_set(fib_y, -2) == fib_y.shift(-1) | fib_y.shift(-2)
+        assert fib_y.translates(-1) == fib_y.shift(-1)
+        assert fib_y.translates(-2) == fib_y.shift(-1) | fib_y.shift(-2)
 
 
 class TestMembership:

@@ -241,6 +241,27 @@ class TestPullback:
         rep = pullback_isomorphism_check(S, samples=20, seed=0)
         assert rep.passed
 
+    def test_basis_limit_builds_only_the_kept_elements(self, tm_full,
+                                                       monkeypatch):
+        from rokhlin import rsh
+        limit = 10
+        full = list(stage_basis_elements(tm_full))
+        stride = len(full) / limit
+        expected = [full[int(i * stride)] for i in range(limit)]
+        built = []
+        original = rsh._basis_element
+
+        def recording(*args):
+            built.append(original(*args))
+            return built[-1]
+
+        monkeypatch.setattr(rsh, "_basis_element", recording)
+        rep = pullback_isomorphism_check(tm_full, samples=0,
+                                         basis_limit=limit)
+        assert rep.passed and rep.samples == limit
+        assert len(built) == limit < len(full)
+        assert all(b.equal_exact(e) for b, e in zip(built, expected))
+
 
 class TestApproximatingSystem:
     def test_period_doubling_window_one(self, pd, pd_full):

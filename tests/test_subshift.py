@@ -134,6 +134,37 @@ class TestClopenSets:
         assert (again.window, again.words) == (c.window, c.words)
 
 
+def _explicit_translates(Y, n):
+    """``Y_n`` unrolled: ``h^0 .. h^{n-1}`` of ``Y``, or ``h^{-1} .. h^n``."""
+    out = Y.system.empty_set()
+    for j in (range(n) if n > 0 else range(-1, n - 1, -1)):
+        out = out | Y.shift(j)
+    return out
+
+
+class TestTranslates:
+    ORDERS = {
+        # large |n| first, negative before positive
+        "outside-in": sorted(range(-8, 9), key=lambda n: (-abs(n), n)),
+        "ascending": list(range(-8, 9)),
+        "mixed": [3, -5, 0, 8, -1, 1, -8, 5, 2, -2, 7, -7, 4, -4, 6, -6, -3],
+    }
+
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    def test_matches_explicit_union(self, order, reference_systems):
+        for _, _, system, Y in reference_systems:
+            for base in (Y, system.full_set(), system.empty_set()):
+                fresh = ClopenSet(system, base.window, base.words)
+                for n in self.ORDERS[order]:
+                    assert fresh.translates(n) == _explicit_translates(base, n)
+
+    def test_zero_and_repeat_calls(self, fib_y):
+        Y = ClopenSet(fib_y.system, fib_y.window, fib_y.words)
+        assert Y.translates(0).is_empty()
+        assert Y.translates(4) is Y.translates(4)
+        assert Y.translates(-4) is Y.translates(-4)
+
+
 def _clopen_sets(system):
     lang3 = sorted(system.language(3))
 
@@ -163,11 +194,14 @@ class TestSetAlgebraLaws:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(a=_clopen_sets(FIB), b=_clopen_sets(FIB),
-           j=st.integers(min_value=-4, max_value=4))
-    def test_shift_equivariance(self, a, b, j):
+           j=st.integers(min_value=-4, max_value=4),
+           n=st.integers(min_value=-8, max_value=8))
+    def test_shift_equivariance(self, a, b, j, n):
         assert (a & b).shift(j) == (a.shift(j) & b.shift(j))
         assert (a | b).shift(j) == (a.shift(j) | b.shift(j))
         assert a.shift(j).shift(-j) == a
+        assert a.shift(j).translates(n) == a.translates(n).shift(j)
+        assert a.translates(n) == _explicit_translates(a, n)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(a=_clopen_sets(FIB))

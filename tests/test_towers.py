@@ -222,3 +222,65 @@ class TestPaths:
     def test_period_doubling_boundary_is_single_path(self, pd_full):
         paths = admissible_sequences(pd_full, 1)
         assert paths[0].path_set == pd_full.boundaries[1]
+
+
+def _explicit_union(sets, system):
+    out = system.empty_set()
+    for C in sets:
+        out = out | C
+    return out
+
+
+class TestStoredData:
+    def _systems(self, reference_systems, rudin, pd101_defects):
+        out = [build_towers(Y, variant) for _, _, _, Y in reference_systems
+               for variant in ("standard", "full")]
+        return out + [rudin, *pd101_defects.values()]
+
+    def test_levels_and_unions_match_explicit_loops(
+            self, reference_systems, rudin, pd101_defects):
+        for S in self._systems(reference_systems, rudin, pd101_defects):
+            for l in range(S.m + 1):
+                for j in range(S.heights[l]):
+                    assert S.level(l, j) == S.interiors[l].shift(j)
+                closed = [S.bases[i].shift(j) for i in range(l + 1)
+                          for j in range(S.heights[i])]
+                assert S.tower_union(l) == _explicit_union(closed, S.system)
+
+    def test_level_outside_the_tower_raises(self, pd_full):
+        with pytest.raises(IndexError):
+            pd_full.level(1, pd_full.heights[1])
+        with pytest.raises(IndexError):
+            pd_full.level(1, -1)
+
+    def test_paths_are_built_once(self, rudin):
+        for l in range(rudin.m + 1):
+            assert admissible_sequences(rudin, l) is \
+                admissible_sequences(rudin, l)
+
+
+class TestNegativeControls:
+    """Each planted defect makes exactly these identities and path levels
+    fail, so the checks can tell a broken system from a sound one."""
+
+    EXPECTED = {
+        "short-top": ({"backward-union-partition", "levels-partition-X",
+                       "orbit-of-Y-covers-X", "tops-partition-Y",
+                       "complement-partition"}, [2]),
+        "tall-middle": ({"forward-union-partition",
+                         "backward-union-partition", "levels-partition-X",
+                         "tops-partition-Y", "complement-partition"}, [1, 2]),
+        "no-top": ({"interiors-partition-Y", "levels-partition-X",
+                    "tops-partition-Y", "forward-union-partition",
+                    "backward-union-partition", "orbit-of-Y-covers-X",
+                    "complement-partition"}, []),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_defect_is_caught(self, name, pd101_defects):
+        S = pd101_defects[name]
+        identities, levels = self.EXPECTED[name]
+        rep = partition_identities(S)
+        assert {k for k, v in rep.identities.items() if not v} == identities
+        assert [l for l in range(S.m + 1)
+                if not boundary_path_cover(S, l)] == levels
