@@ -320,19 +320,16 @@ def gamma_component(a: FormalElement, S: RokhlinSystem, i: int) -> MatrixCylinde
     return MatrixCylinderFunction(T, window, r, values)
 
 
-def gamma_symbolic(a: FormalElement, S: RokhlinSystem,
-                   l: int | None = None) -> list:
-    """Tuple of exact matrix functions over towers ``0 .. l``.
+def gamma_symbolic(a: FormalElement, S: RokhlinSystem) -> list:
+    """Exact matrix functions over every tower ``0 .. m``.
 
     Requires membership in the orbit-breaking subalgebra of the system's base
     set; each component agrees with pointwise evaluation at every word.
     """
-    if l is None:
-        l = S.m
     if not in_ob_subalgebra(a, S.Y):
         raise PreconditionViolated(
             "element is not in the orbit-breaking subalgebra of Y")
-    return [gamma_component(a, S, i) for i in range(l + 1)]
+    return [gamma_component(a, S, i) for i in range(S.m + 1)]
 
 
 # -- randomized checks -----------------------------------------------------------
@@ -411,13 +408,13 @@ def _needed_windows(elements, N: int):
 
 
 def homomorphism_check(Y: ClopenSet, N: int, Z: ClopenSet, trials: int,
-                       seed: int = 0, tol: float = MATRIX_TOL,
-                       pairs=None) -> HomomorphismReport:
+                       seed: int = 0, pairs=None) -> HomomorphismReport:
     """Sampled multiplicativity and adjoint-preservation of the evaluation map.
 
     Draws random subalgebra pairs (or uses the supplied ``pairs``) and random
     points of ``Z``; reports the worst entrywise deviation of
-    ``gamma(ab) - gamma(a)gamma(b)`` and ``gamma(a*) - gamma(a)*``.
+    ``gamma(ab) - gamma(a)gamma(b)`` and ``gamma(a*) - gamma(a)*``, and counts
+    a trial as failed when it exceeds ``MATRIX_TOL``.
     """
     system = Y.system
     rng = np.random.default_rng(seed)
@@ -441,10 +438,10 @@ def homomorphism_check(Y: ClopenSet, N: int, Z: ClopenSet, trials: int,
         dev = max(float(np.max(np.abs(gab - ga @ gb))),
                   float(np.max(np.abs(gastar - ga.conj().T))))
         max_dev = max(max_dev, dev)
-        if dev > tol:
+        if dev > MATRIX_TOL:
             failures += 1
     return HomomorphismReport(trials=total, max_deviation=max_dev,
-                              failures=failures, tolerance=tol)
+                              failures=failures, tolerance=MATRIX_TOL)
 
 
 # -- injectivity ------------------------------------------------------------------

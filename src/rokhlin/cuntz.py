@@ -77,10 +77,6 @@ class PositiveElement:
                                {w: block_diagonal([self.values[w], other.values[w]])
                                 for w in self.base})
 
-    def norm(self) -> float:
-        return max((float(np.max(np.linalg.eigvalsh(A)))
-                    for A in self.values.values()), default=0.0)
-
     def distance(self, other: "PositiveElement") -> float:
         if self.base != other.base or self.size != other.size:
             raise BaseMismatch("distance needs matching base and size")
@@ -94,11 +90,11 @@ class PositiveElement:
         return f"PositiveElement(size={self.size}, words={len(self.base)})"
 
 
-def matrix_rank(A: np.ndarray, tol: float = RANK_TOL) -> int:
-    """Count of singular values above the rank tolerance."""
+def matrix_rank(A: np.ndarray) -> int:
+    """Count of singular values above ``RANK_TOL``."""
     if A.size == 0:
         return 0
-    return int(np.sum(np.linalg.svd(A, compute_uv=False) > tol))
+    return int(np.sum(np.linalg.svd(A, compute_uv=False) > RANK_TOL))
 
 
 @dataclass(frozen=True)
@@ -150,7 +146,8 @@ def rc_witness_test(n: int, m: int, eta: PositiveElement,
     """The rank-surplus implication behind the comparison radius.
 
     When ``(n+1) rank(eta) + m * size <= n rank(mu)`` holds at every word, the
-    comparison ``eta <= mu`` must follow; returns whether the implication held
+    comparison ``eta <= mu`` (rank domination on the same padded profiles)
+    must follow; returns whether the implication held
     (vacuously true when the hypothesis fails).  Over a finite discrete base
     this can never be falsified, which certifies comparison radius zero.
     """
@@ -166,7 +163,7 @@ def rc_witness_test(n: int, m: int, eta: PositiveElement,
     hypothesis = all((n + 1) * re[w] + m * size <= n * rm[w] for w in eta.base)
     if not hypothesis:
         return True
-    return cuntz_leq(eta, mu)
+    return all(re[w] <= rm[w] for w in eta.base)
 
 
 @dataclass(frozen=True)

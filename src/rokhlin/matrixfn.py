@@ -119,11 +119,6 @@ class MatrixCylinderFunction:
         return MatrixCylinderFunction(
             subset, w, self.size, {word: table[word] for word in keep})
 
-    def max_abs(self) -> float:
-        if not self.values:
-            return 0.0
-        return max(float(np.max(np.abs(M))) for M in self.values.values())
-
     def is_zero(self) -> bool:
         return all(not M.any() for M in self.values.values())
 

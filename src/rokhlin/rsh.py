@@ -13,11 +13,14 @@ the entries ``(j, j - n)`` of degree ``n`` and ``(j - n, j)`` of degree
 An approximating system replaces each base by its projection onto the
 coordinates ``[n1, n2 + r_l]`` when the underlying set is a product over
 ``[n1, n2]``; the index-shift maps on projections commute with the dynamics.
+Its gluing is the stage gluing read on those windows: ``phi_range_check``
+wraps the factored tables as a stage element and runs ``stage_violations``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -77,16 +80,9 @@ class StageElement:
         return all(a.allclose(b, atol=0.0)
                    for a, b in zip(self.components, other.components))
 
-    def allclose(self, other: "StageElement", atol: float = STAGE_TOL) -> bool:
-        if self.level != other.level:
-            return False
-        return all(a.allclose(b, atol=atol)
-                   for a, b in zip(self.components, other.components))
 
-
-def stage_from_gamma(a: FormalElement, S: RokhlinSystem,
-                     level: int | None = None) -> StageElement:
-    return StageElement(tuple(gamma_symbolic(a, S, level)))
+def stage_from_gamma(a: FormalElement, S: RokhlinSystem) -> StageElement:
+    return StageElement(tuple(gamma_symbolic(a, S)))
 
 
 # -- gluing maps ------------------------------------------------------------------
@@ -132,8 +128,15 @@ def _beta_values_on(path: AdmissiblePath, b: StageElement,
             for w in path.path_set.words_on(window)}
 
 
-def stage_violations(S: RokhlinSystem, b: StageElement, atol: float = STAGE_TOL):
-    """All gluing violations ``(level, mu, word)``, lowest level first."""
+def stage_violations(S: RokhlinSystem, b: StageElement):
+    """All gluing violations ``(level, mu, word)``, lowest level first.
+
+    Raises ``ValueError`` when a component's size is not its tower's height.
+    """
+    for i, comp in enumerate(b.components):
+        if comp.size != S.heights[i]:
+            raise ValueError(f"component {i} has size {comp.size}, "
+                             f"expected {S.heights[i]}")
     violations = []
     for l in range(1, b.level + 1):
         comp = b.components[l]
@@ -143,23 +146,19 @@ def stage_violations(S: RokhlinSystem, b: StageElement, atol: float = STAGE_TOL)
             window = _path_eval_window(path, b, comp.window)
             glued = _beta_values_on(path, b, window)
             for w, M in glued.items():
-                if not np.allclose(comp.value(w, window), M, rtol=0.0, atol=atol):
+                if not np.allclose(comp.value(w, window), M,
+                                   rtol=0.0, atol=STAGE_TOL):
                     violations.append((l, path.mu, w))
     return violations
 
 
-def in_stage_algebra(S: RokhlinSystem, b: StageElement,
-                     atol: float = STAGE_TOL) -> bool:
+def in_stage_algebra(S: RokhlinSystem, b: StageElement) -> bool:
     """Whether all gluing conditions hold at every word of every path set."""
-    for i, comp in enumerate(b.components):
-        if comp.size != S.heights[i]:
-            raise ValueError(f"component {i} has size {comp.size}, "
-                             f"expected {S.heights[i]}")
-    return not stage_violations(S, b, atol)
+    return not stage_violations(S, b)
 
 
-def beta_boundary(S: RokhlinSystem, l: int, b: StageElement,
-                  atol: float = STAGE_TOL) -> MatrixCylinderFunction:
+def beta_boundary(S: RokhlinSystem, l: int,
+                  b: StageElement) -> MatrixCylinderFunction:
     """The glued boundary function on ``D_l``.
 
     Well defined because every boundary word lies on at least one path set and
@@ -168,10 +167,11 @@ def beta_boundary(S: RokhlinSystem, l: int, b: StageElement,
     """
     if b.level < l - 1:
         raise ValueError("need components for every tower below the boundary level")
-    if not in_stage_algebra(S, b.truncate(l - 1), atol):
+    violations = stage_violations(S, b.truncate(l - 1))
+    if violations:
         raise NotInStageAlgebra(
             "components below the boundary level violate their own gluing",
-            violation=stage_violations(S, b.truncate(l - 1), atol)[0])
+            violation=violations[0])
     D = S.boundaries[l]
     paths = [p for p in admissible_sequences(S, l) if not p.path_set.is_empty()]
     window = D.window
@@ -183,7 +183,7 @@ def beta_boundary(S: RokhlinSystem, l: int, b: StageElement,
         glued = _beta_values_on(path, b, window)
         for w, M in glued.items():
             if w in values:
-                if not np.allclose(values[w], M, rtol=0.0, atol=atol):
+                if not np.allclose(values[w], M, rtol=0.0, atol=STAGE_TOL):
                     raise NotInStageAlgebra(
                         f"paths {origin[w]} and {path.mu} disagree at {w!r}",
                         violation=(l, (origin[w], path.mu), w))
@@ -260,11 +260,12 @@ def lift(S: RokhlinSystem, b: StageElement) -> FormalElement:
     their evaluation from the top component (the difference vanishes on the
     boundary), and lift the remainder over the top tower alone.
     """
-    if not in_stage_algebra(S, b):
-        violation = stage_violations(S, b)[0]
+    violations = stage_violations(S, b)
+    if violations:
+        l, mu, word = violations[0]
         raise NotInStageAlgebra(
-            f"gluing violated at level {violation[0]}, mu={violation[1]}, "
-            f"word {violation[2]!r}", violation=violation)
+            f"gluing violated at level {l}, mu={mu}, word {word!r}",
+            violation=violations[0])
     a = _lift_single_tower(S, 0, b.components[0])
     for l in range(1, b.level + 1):
         residue = b.components[l] - gamma_component(a, S, l)
@@ -278,17 +279,10 @@ def lift(S: RokhlinSystem, b: StageElement) -> FormalElement:
 
 
 def _stage_windows(S: RokhlinSystem):
-    """Per-level tabulation windows wide enough for every gluing evaluation."""
-    base = S.Y.window
-    for T in S.bases:
-        base = base.hull(T.window)
-    windows = []
-    pad = 0
-    for i, r in enumerate(S.heights):
-        if i > 0:
-            pad += r
-        windows.append(Window(base.lo, base.hi + pad))
-    return windows
+    """Per-level tabulation windows wide enough for every gluing evaluation:
+    ``S.window`` padded on the right by the heights of towers ``1 .. i``."""
+    return [Window(S.window.lo, S.window.hi + pad)
+            for pad in accumulate((0, *S.heights[1:]))]
 
 
 def _repair_gluing(S: RokhlinSystem, components):
@@ -309,14 +303,11 @@ def _repair_gluing(S: RokhlinSystem, components):
     return StageElement(tuple(out))
 
 
-def sample_stage_element(S: RokhlinSystem, rng,
-                         level: int | None = None) -> StageElement:
+def sample_stage_element(S: RokhlinSystem, rng) -> StageElement:
     """Random stage-algebra element: free values repaired into the gluing."""
-    if level is None:
-        level = S.m
     windows = _stage_windows(S)
     components = []
-    for i in range(level + 1):
+    for i in range(S.m + 1):
         r = S.heights[i]
         values = {}
         for w in sorted(S.bases[i].words_on(windows[i])):
@@ -327,23 +318,25 @@ def sample_stage_element(S: RokhlinSystem, rng,
     return _repair_gluing(S, components)
 
 
-def _basis_slots(S: RokhlinSystem, windows, level: int) -> list:
+def _basis_slots(S: RokhlinSystem) -> list:
     """``(tower, word, j, k)`` of every matrix-unit generator, in basis order;
     there are ``sum_i |words_i| * r_i^2`` of them."""
+    windows = _stage_windows(S)
     return [(i, word, j, k)
-            for i in range(level + 1)
+            for i in range(S.m + 1)
             for word in sorted(S.bases[i].words_on(windows[i]))
             for j in range(S.heights[i]) for k in range(S.heights[i])]
 
 
-def _basis_element(S: RokhlinSystem, windows, level: int,
-                   i: int, word: str, j: int, k: int) -> StageElement:
+def _basis_element(S: RokhlinSystem, i: int, word: str, j: int,
+                   k: int) -> StageElement:
     """The unit ``e_{jk}`` at ``word`` of tower ``i``, repaired into the gluing."""
+    windows = _stage_windows(S)
     r = S.heights[i]
     unit = np.zeros((r, r), dtype=complex)
     unit[j, k] = 1.0
     components = []
-    for ii in range(level + 1):
+    for ii in range(S.m + 1):
         rr = S.heights[ii]
         values = {w: (unit if ii == i and w == word else np.zeros((rr, rr)))
                   for w in S.bases[ii].words_on(windows[ii])}
@@ -352,13 +345,9 @@ def _basis_element(S: RokhlinSystem, windows, level: int,
     return _repair_gluing(S, components)
 
 
-def stage_basis_elements(S: RokhlinSystem, level: int | None = None):
+def stage_basis_elements(S: RokhlinSystem):
     """Matrix-unit-times-word-indicator generators, repaired into the gluing."""
-    if level is None:
-        level = S.m
-    windows = _stage_windows(S)
-    return (_basis_element(S, windows, level, *slot)
-            for slot in _basis_slots(S, windows, level))
+    return (_basis_element(S, *slot) for slot in _basis_slots(S))
 
 
 # -- pullback verification ------------------------------------------------------------
@@ -399,12 +388,11 @@ def pullback_isomorphism_check(S: RokhlinSystem, samples: int = 100,
     words, and only the kept elements are built.
     """
     rng = np.random.default_rng(seed)
-    windows = _stage_windows(S)
-    slots = _basis_slots(S, windows, S.m)
+    slots = _basis_slots(S)
     if basis_limit is not None and len(slots) > basis_limit:
         stride = len(slots) / basis_limit
         slots = [slots[int(i * stride)] for i in range(basis_limit)]
-    pool = [_basis_element(S, windows, S.m, *slot) for slot in slots]
+    pool = [_basis_element(S, *slot) for slot in slots]
     while len(pool) < max(samples, len(slots)):
         if rng.uniform() < 0.5:
             a = sample_subalgebra_element(S.system, S.Y, rng,
@@ -424,19 +412,10 @@ def pullback_isomorphism_check(S: RokhlinSystem, samples: int = 100,
                 boundary_ok = False
 
     pairs_ok = True
-    for _ in range(min(samples, 20)):
-        lower = sample_stage_element(S, rng, level=S.m - 1) if S.m > 0 else None
-        if lower is None:
-            break
-        l = S.m
-        r = S.heights[l]
-        values = {w: np.array([[_unit_disc(rng) for _ in range(r)]
-                               for _ in range(r)])
-                  for w in sorted(S.bases[l].words_on(windows[l]))}
-        top = MatrixCylinderFunction(S.bases[l], windows[l], r, values)
-        candidate = _repair_gluing(S, (*lower.components, top))
-        if not in_stage_algebra(S, candidate):
-            pairs_ok = False
+    if S.m > 0:
+        for _ in range(min(samples, 20)):
+            if not in_stage_algebra(S, sample_stage_element(S, rng)):
+                pairs_ok = False
 
     lift_ok = True
     for b in pool:
@@ -469,9 +448,8 @@ class ApproximatingSystem:
 
     ``spaces[l]`` is the word set of the ``l``-th projected base over
     ``proj_windows[l]``; ``path_images[(l, mu)]`` the projection of the path
-    set; ``image_spaces[(l, mu, s)]`` the image of the index-shift map, a
-    subset of ``spaces[mu[s]]``.  ``checks`` records the exact verification
-    of the projection/path/diagram conditions.
+    set.  ``checks`` records the exact verification of the
+    projection/path/diagram conditions.
     """
 
     S: RokhlinSystem
@@ -479,19 +457,11 @@ class ApproximatingSystem:
     proj_windows: tuple
     spaces: tuple
     path_images: dict
-    image_spaces: dict
     checks: dict
 
     @property
     def passed(self) -> bool:
         return all(self.checks.values())
-
-    def shift_image(self, l: int, mu, s: int, word: str) -> str:
-        """The index-shift map on projected words: substring at offset the
-        partial sum of the first ``s - 1`` heights along the path."""
-        offset = sum(self.S.heights[idx] for idx in mu[: s - 1])
-        width = self.window.length + self.S.heights[mu[s - 1]]
-        return word[offset : offset + width]
 
     def to_json(self) -> dict:
         return {
@@ -539,7 +509,6 @@ def build_approximating_system(S: RokhlinSystem,
         for l in range(S.m + 1))
 
     path_images = {}
-    image_spaces = {}
     paths_ok = True
     containment_ok = True
     diagram_ok = True
@@ -557,7 +526,6 @@ def build_approximating_system(S: RokhlinSystem,
                 off = path.offsets[s - 1]
                 width = window.length + S.heights[mu[s - 1]]
                 shifted = frozenset(w[off : off + width] for w in image)
-                image_spaces[(l, mu, s)] = shifted
                 if not shifted <= spaces[mu[s - 1]]:
                     containment_ok = False
                 big = proj_windows[l]
@@ -572,7 +540,7 @@ def build_approximating_system(S: RokhlinSystem,
     checks["diagram-commutes"] = diagram_ok
     return ApproximatingSystem(S=S, window=window, proj_windows=proj_windows,
                                spaces=spaces, path_images=path_images,
-                               image_spaces=image_spaces, checks=checks)
+                               checks=checks)
 
 
 @dataclass(frozen=True)
@@ -586,12 +554,15 @@ class PhiRangeResult:
 
 
 def phi_range_check(S: RokhlinSystem, A: ApproximatingSystem,
-                    a: FormalElement, atol: float = STAGE_TOL) -> PhiRangeResult:
+                    a: FormalElement) -> PhiRangeResult:
     """Whether the symbolic evaluation of ``a`` factors through the projections.
 
     Each component must be constant on fibers of the restriction to
     ``[n1, n2 + r_l]``; when it is, the factored tables are returned and
-    re-checked against the projected gluing conditions.
+    re-checked against the projected gluing conditions.  Those are the stage
+    gluing on the projected windows: every base, path set and shifted block
+    window lies inside ``proj_windows[l]``, so ``stage_violations`` reads
+    exactly the words of ``A.path_images[(l, mu)]``.
     """
     comps = gamma_symbolic(a, S)
     tables = []
@@ -604,7 +575,7 @@ def phi_range_check(S: RokhlinSystem, A: ApproximatingSystem,
         for w, M in big.items():
             key = w[off : off + I.length]
             if key in table:
-                if not np.allclose(table[key], M, rtol=0.0, atol=atol):
+                if not np.allclose(table[key], M, rtol=0.0, atol=STAGE_TOL):
                     return PhiRangeResult(
                         ok=False,
                         reason=f"component {l} depends on coordinates outside "
@@ -614,17 +585,15 @@ def phi_range_check(S: RokhlinSystem, A: ApproximatingSystem,
                 table[key] = M
         tables.append(table)
 
-    for l in range(1, S.m + 1):
-        for path in admissible_sequences(S, l):
-            mu = path.mu
-            image = A.path_images.get((l, mu), frozenset())
-            for z in image:
-                M = block_diagonal([tables[mu[s - 1]][A.shift_image(l, mu, s, z)]
-                                    for s in range(1, len(mu) + 1)])
-                if not np.allclose(tables[l][z], M, rtol=0.0, atol=atol):
-                    return PhiRangeResult(
-                        ok=False,
-                        reason=f"projected gluing fails at level {l}, "
-                               f"mu={list(mu)}, word {z!r}",
-                        preimage=None)
+    projected = StageElement(tuple(
+        MatrixCylinderFunction(S.bases[l], A.proj_windows[l], S.heights[l], table)
+        for l, table in enumerate(tables)))
+    violations = stage_violations(S, projected)
+    if violations:
+        l, mu, z = violations[0]
+        return PhiRangeResult(
+            ok=False,
+            reason=f"projected gluing fails at level {l}, "
+                   f"mu={list(mu)}, word {z!r}",
+            preimage=None)
     return PhiRangeResult(ok=True, reason="", preimage=tuple(tables))

@@ -49,9 +49,6 @@ class Window:
     def contains(self, other: "Window") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def coords(self):
-        return range(self.lo, self.hi + 1)
-
     def to_json(self):
         return [self.lo, self.hi]
 
@@ -222,9 +219,6 @@ class SubstitutionSystem:
         words = {w for w in self.language(window.length)
                  if all(w[k] in allowed[k] for k in range(window.length))}
         return ClopenSet(self, window, words)
-
-    def point(self, window: Window, word: str) -> "PointWindow":
-        return PointWindow(self, window, word)
 
     # -- config ------------------------------------------------------------
 

@@ -44,12 +44,12 @@ class ReturnProfile:
         raise KeyError(r)
 
 
-def return_time_bound(Y: ClopenSet, depth: int | None = None) -> int:
-    """Least ``R`` such that every point enters ``Y`` within ``R`` forward steps."""
+def return_time_bound(Y: ClopenSet) -> int:
+    """Least ``R`` such that every point enters ``Y`` within ``R`` forward
+    steps, searched up to the system's enumeration depth."""
     if Y.is_empty():
         raise ValueError("Y must be nonempty")
-    if depth is None:
-        depth = Y.system.depth
+    depth = Y.system.depth
     for r in range(1, depth + 1):
         if Y.translates(-r).is_full():
             return r
@@ -58,8 +58,8 @@ def return_time_bound(Y: ClopenSet, depth: int | None = None) -> int:
         "the base set is too thin for the configured enumeration depth")
 
 
-def return_profile(Y: ClopenSet, depth: int | None = None) -> ReturnProfile:
-    bound = return_time_bound(Y, depth)
+def return_profile(Y: ClopenSet) -> ReturnProfile:
+    bound = return_time_bound(Y)
     remaining = Y
     levels = []
     for r in range(1, bound + 1):
@@ -76,7 +76,8 @@ class RokhlinSystem:
     """Tower bases with heights; everything else is derived once, here.
 
     ``D_l = T_l \\cap (T_0 \\cup .. \\cup T_{l-1})`` and ``T_l^0 = T_l - D_l``;
-    ``levels[l][j]`` is ``h^j(T_l^0)`` for ``0 <= j < r_l``.
+    ``levels[l][j]`` is ``h^j(T_l^0)`` for ``0 <= j < r_l``; ``window`` is the
+    hull of the windows of ``Y`` and of the bases.
     The constructor accepts arbitrary data so that the verifier can be run
     against hand-built (possibly invalid) systems.
     """
@@ -98,7 +99,9 @@ class RokhlinSystem:
         unions = []
         seen = system.empty_set()
         X = system.empty_set()
+        window = Y.window
         for T, r in zip(self.bases, self.heights):
+            window = window.hull(T.window)
             D = T & seen
             boundaries.append(D)
             interiors.append(T - D)
@@ -112,6 +115,7 @@ class RokhlinSystem:
         self.levels = tuple(levels)
         self._tower_unions = (system.empty_set(), *unions)
         self._bases_union = seen
+        self.window = window
         self._paths = {}
 
     @property
@@ -130,12 +134,8 @@ class RokhlinSystem:
         return self._tower_unions[l + 1]
 
     def verification_window(self) -> Window:
-        w = self.Y.window
-        for T in self.bases:
-            w = w.hull(T.window)
-        r = max(self.heights)
-        pad = r + WINDOW_SLACK // 2
-        return Window(w.lo - pad, w.hi + pad)
+        pad = max(self.heights) + WINDOW_SLACK // 2
+        return Window(self.window.lo - pad, self.window.hi + pad)
 
     def to_json(self) -> dict:
         return {
@@ -152,12 +152,11 @@ class RokhlinSystem:
         return f"RokhlinSystem({self.variant}, heights={list(self.heights)})"
 
 
-def build_towers(Y: ClopenSet, variant: str = "full",
-                 depth: int | None = None) -> RokhlinSystem:
+def build_towers(Y: ClopenSet, variant: str = "full") -> RokhlinSystem:
     """Tower system over ``Y``: heights are the exact range of the return time."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    profile = return_profile(Y, depth)
+    profile = return_profile(Y)
     heights = profile.times
     if variant == "standard":
         bases = [piece for _, piece in profile.levels]
@@ -181,8 +180,7 @@ class AxiomReport:
                 "passed": self.passed}
 
 
-def verify_rokhlin_axioms(S: RokhlinSystem,
-                          depth: int | None = None) -> AxiomReport:
+def verify_rokhlin_axioms(S: RokhlinSystem) -> AxiomReport:
     """Check the five tower-system conditions plus irredundancy, exactly.
 
     Conditions: (1) the bases cover ``Y``; (2) heights nondecreasing;
@@ -192,7 +190,7 @@ def verify_rokhlin_axioms(S: RokhlinSystem,
     reported separately; the full variant legitimately fails it whenever a
     boundary is nonempty.
     """
-    profile = return_profile(S.Y, depth)
+    profile = return_profile(S.Y)
     conditions = {}
     conditions["bases-cover-Y"] = S._bases_union == S.Y
     conditions["heights-nondecreasing"] = all(

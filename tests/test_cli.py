@@ -11,6 +11,13 @@ HERE = Path(__file__).parent
 CONFIGS = HERE / "configs"
 GOLDEN = HERE / "golden"
 REFERENCE = ["fibonacci", "period_doubling", "thue_morse"]
+# Golden reports: tests/golden/<name>_<command>.json, written by the command
+# run with these flags; verify cases keep the bare system name as their id.
+GOLDEN_FLAGS = {"verify": (), "towers": (),
+                "decompose": ("--emit-decomposition",)}
+GOLDEN_RUNS = [pytest.param(name, command,
+                            id=name if command == "verify" else f"{command}-{name}")
+               for command in GOLDEN_FLAGS for name in REFERENCE]
 
 
 def run(*argv):
@@ -98,13 +105,13 @@ class TestVerifyCommand:
         assert rc == 0
         assert "overall: PASS" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("name", REFERENCE)
-    def test_matches_golden_report(self, name, tmp_path, capsys):
+    @pytest.mark.parametrize("name, command", GOLDEN_RUNS)
+    def test_matches_golden_report(self, name, command, tmp_path, capsys):
         out = tmp_path / "report.json"
-        rc = run("verify", "--config", str(CONFIGS / f"{name}.json"),
-                 "--out", str(out))
+        rc = run(command, "--config", str(CONFIGS / f"{name}.json"),
+                 *GOLDEN_FLAGS[command], "--out", str(out))
         assert rc == 0
-        assert out.read_bytes() == (GOLDEN / f"{name}_verify.json").read_bytes()
+        assert out.read_bytes() == (GOLDEN / f"{name}_{command}.json").read_bytes()
 
     def test_corrupted_report_detected(self, tmp_path, capsys):
         out = tmp_path / "report.json"

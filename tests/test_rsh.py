@@ -348,6 +348,20 @@ class TestPhiRange:
         assert not res.ok
         assert "outside" in res.reason
 
+    def test_projected_gluing_violation_named(self, pd_full, monkeypatch):
+        # a top component of 2I factors through the projection but breaks the
+        # gluing on the one projected word of the path (0, 0)
+        from rokhlin import rsh
+        assert pd_full.heights == (1, 2)
+        A = build_approximating_system(pd_full, Window(0, 0))
+        comps = list(StageElement.identity(pd_full).components)
+        comps[1] = MatrixCylinderFunction.constant(pd_full.bases[1],
+                                                   2 * np.eye(2))
+        monkeypatch.setattr(rsh, "gamma_symbolic", lambda a, S: comps)
+        res = phi_range_check(pd_full, A, FormalElement.unit(pd_full.system))
+        assert not res.ok and res.preimage is None
+        assert res.reason == "projected gluing fails at level 1, mu=[0, 0], word '000'"
+
 
 def _sample_projected_element(A, rng):
     """Random element of the projected pullback: free matrix per projected
@@ -365,7 +379,9 @@ def _sample_projected_element(A, rng):
                 M = np.zeros((r, r), dtype=complex)
                 offset = 0
                 for s in range(1, len(mu) + 1):
-                    block = tables[mu[s - 1]][A.shift_image(l, mu, s, z)]
+                    off = path.offsets[s - 1]
+                    width = A.proj_windows[mu[s - 1]].length
+                    block = tables[mu[s - 1]][z[off : off + width]]
                     size = block.shape[0]
                     M[offset : offset + size, offset : offset + size] = block
                     offset += size

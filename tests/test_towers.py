@@ -2,7 +2,7 @@ import pytest
 
 from oracles import gap_oracle, return_piece_words
 from rokhlin.errors import BoundSearchExceeded
-from rokhlin.subshift import Window
+from rokhlin.subshift import Window, fibonacci
 from rokhlin.towers import (
     RokhlinSystem,
     admissible_sequences,
@@ -55,9 +55,10 @@ class TestReturnTimes:
         assert return_profile(Y).times == (3, 5)
         assert set(return_profile(Y).times) == gap_oracle(FIB_RULES, ["100"])
 
-    def test_bound_search_exceeded(self, fib, fib_y):
+    def test_bound_search_exceeded(self):
+        shallow = fibonacci(depth=2)
         with pytest.raises(BoundSearchExceeded):
-            return_time_bound(fib_y, depth=2)
+            return_time_bound(shallow.cylinder(Window(0, 0), "1"))
 
 
 class TestBuildTowers:
