@@ -499,52 +499,41 @@ def injectivity_witness(S: RokhlinSystem, a: FormalElement) -> InjectivityWitnes
 # -- window approximation -----------------------------------------------------------
 
 
-def approximate_with_vanishing(f: CylinderFunction, constraints, I: Window,
-                               eps: float) -> list:
-    """Approximate ``f`` by functions of the coordinates in ``I`` only, each
-    vanishing on its constraint set.
+def approximate_with_vanishing(f: CylinderFunction, B: ClopenSet, I: Window,
+                               eps: float) -> CylinderFunction:
+    """Approximate ``f`` by a function of the coordinates in ``I`` only that
+    vanishes on ``B``.
 
-    For each constraint the candidate takes the value of ``f`` at an arbitrary
-    admissible extension of the ``I``-word and is cut to zero on the projected
-    constraint; the projection of a vanishing set keeps zero among each
-    affected fiber's values, so the achieved error is bounded by the largest
-    oscillation of ``f`` over a fiber.  Raises when the requested accuracy is
-    not achievable at this window, reporting what is.
+    The candidate takes the value of ``f`` at an arbitrary admissible
+    extension of the ``I``-word and is cut to zero on the projection of ``B``;
+    the projection of a vanishing set keeps zero among each affected fiber's
+    values, so the achieved error is bounded by the largest oscillation of
+    ``f`` over a fiber.  Raises when the requested accuracy is not achievable
+    at this window, reporting what is.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     system = f.system
-    for B in constraints:
-        if not f.vanishes_on(B):
-            raise PreconditionViolated("f does not vanish on a constraint set")
-    out = []
-    achieved = []
-    for B in constraints:
-        hull = I.hull(f.window)
-        if not B.is_empty():
-            hull = hull.hull(B.window)
-        f_table = f.values_on(hull)
-        off_i = I.lo - hull.lo
-        dead = set()
-        if not B.is_empty():
-            for w in B.words_on(hull):
-                dead.add(w[off_i : off_i + I.length])
-        projected = {}
-        for w in sorted(system.language(hull.length)):
-            key = w[off_i : off_i + I.length]
-            if key not in projected:
-                projected[key] = 0.0 if key in dead else f_table[w]
-        g = CylinderFunction(system, I, projected)
-        err = max(abs(projected[w[off_i : off_i + I.length]] - f_table[w])
-                  for w in f_table)
-        achieved.append(err)
-        out.append(g)
-    worst = max(achieved, default=0.0)
-    if worst >= eps:
+    if not f.vanishes_on(B):
+        raise PreconditionViolated("f does not vanish on the constraint set")
+    hull = I.hull(f.window)
+    if not B.is_empty():
+        hull = hull.hull(B.window)
+    f_table = f.values_on(hull)
+    off_i = I.lo - hull.lo
+    dead = {w[off_i : off_i + I.length] for w in B.words_on(hull)}
+    projected = {}
+    for w in sorted(system.language(hull.length)):
+        key = w[off_i : off_i + I.length]
+        if key not in projected:
+            projected[key] = 0.0 if key in dead else f_table[w]
+    err = max(abs(projected[w[off_i : off_i + I.length]] - f_table[w])
+              for w in f_table)
+    if err >= eps:
         raise WindowTooSmall(
-            f"achievable error {worst:.6g} does not beat eps={eps:.6g}",
-            achievable=worst)
-    return out
+            f"achievable error {err:.6g} does not beat eps={eps:.6g}",
+            achievable=err)
+    return CylinderFunction(system, I, projected)
 
 
 def approximate_by_window_constant(a: FormalElement, z: PointWindow,
@@ -565,7 +554,7 @@ def approximate_by_window_constant(a: FormalElement, z: PointWindow,
     I = z.window
     terms = {}
     for n, f in a.terms.items():
-        terms[n] = approximate_with_vanishing(f, [Y.translates(n)], I, eps)[0]
+        terms[n] = approximate_with_vanishing(f, Y.translates(n), I, eps)
     b = FormalElement(system, terms)
     if not in_ob_subalgebra(b, Y):
         raise InvariantViolated("projected element left the subalgebra")

@@ -39,6 +39,8 @@ class PositiveElement:
             A = np.array(values[w], dtype=complex)
             if A.shape != (size, size):
                 raise ValueError(f"matrix for {w!r} has shape {A.shape}")
+            if not np.isfinite(A).all():
+                raise NotHermitian(f"matrix at {w!r} has a non-finite entry")
             if float(np.max(np.abs(A - A.conj().T), initial=0.0)) > HERMITIAN_TOL:
                 raise NotHermitian(f"matrix at {w!r} is not Hermitian")
             if float(np.min(np.linalg.eigvalsh(A))) < PSD_EIG_TOL:

@@ -89,25 +89,7 @@ class MatrixCylinderFunction:
             return dict(self.values)
         return {w: self.value(w, window) for w in self.base.words_on(window)}
 
-    # -- pointwise algebra ----------------------------------------------------
-
-    def _binary(self, other: "MatrixCylinderFunction", op):
-        if self.size != other.size:
-            raise ValueError("matrix sizes differ")
-        if not (self.base == other.base):
-            raise ValueError("bases differ")
-        w = self.window.hull(other.window)
-        left = self.values_on(w)
-        right = other.values_on(w)
-        return MatrixCylinderFunction(
-            self.base, w, self.size,
-            {word: op(left[word], right[word]) for word in left})
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
+    # -- restriction and comparison -------------------------------------------
 
     def restrict(self, subset: ClopenSet) -> "MatrixCylinderFunction":
         """Restriction to a clopen subset of the base."""
@@ -118,9 +100,6 @@ class MatrixCylinderFunction:
         keep = subset.words_on(w)
         return MatrixCylinderFunction(
             subset, w, self.size, {word: table[word] for word in keep})
-
-    def is_zero(self) -> bool:
-        return all(not M.any() for M in self.values.values())
 
     def allclose(self, other: "MatrixCylinderFunction", atol: float = 1e-12) -> bool:
         if self.size != other.size or not (self.base == other.base):

@@ -265,18 +265,18 @@ class TestVanishingApproximation:
         values = {w: (0.0 if w[0] == "0" else 1.0 + 0.5j)
                   for w in pd.language(2)}
         f = CylinderFunction(pd, Window(0, 1), values)
-        (g,) = approximate_with_vanishing(f, [pd_y], Window(0, 1), 1e-9)
+        g = approximate_with_vanishing(f, pd_y, Window(0, 1), 1e-9)
         assert all(g.values[w] == f.values[w] for w in f.values)
 
     def test_zero_function(self, pd, pd_y):
         f = CylinderFunction.constant(pd, 0.0)
-        (g,) = approximate_with_vanishing(f, [pd_y], Window(0, 2), 1e-9)
+        g = approximate_with_vanishing(f, pd_y, Window(0, 2), 1e-9)
         assert g.is_zero()
 
     def test_requires_vanishing(self, pd, pd_y):
         f = CylinderFunction.constant(pd, 1.0)
         with pytest.raises(PreconditionViolated):
-            approximate_with_vanishing(f, [pd_y], Window(0, 1), 0.5)
+            approximate_with_vanishing(f, pd_y, Window(0, 1), 0.5)
 
     def test_against_brute_force(self, pd, pd_y):
         # f on coordinates 0..3, vanishing on {x0 = 0}, projected to [0, 2]
@@ -294,7 +294,7 @@ class TestVanishingApproximation:
         forced = {w[:3] for w in pd.language(4) if w[0] == "0"}
         optimum, oscillation = brute_force_projection_error(fibers, forced)
         try:
-            (g,) = approximate_with_vanishing(f, [pd_y], I, 1e9)
+            g = approximate_with_vanishing(f, pd_y, I, 1e9)
             achieved = max(abs(g.values[w[:3]] - f.values[w])
                            for w in pd.language(4))
         except WindowTooSmall as e:
@@ -306,7 +306,7 @@ class TestVanishingApproximation:
         f = CylinderFunction(pd, Window(0, 1), values)
         # project onto coordinate 1 only: fibers mix values 0 and 3
         with pytest.raises(WindowTooSmall) as err:
-            approximate_with_vanishing(f, [pd_y], Window(1, 1), 0.1)
+            approximate_with_vanishing(f, pd_y, Window(1, 1), 0.1)
         assert err.value.achievable == 3.0
 
 

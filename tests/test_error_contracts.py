@@ -115,6 +115,13 @@ class TestPositiveElementContracts:
         with pytest.raises(NotHermitian):
             PositiveElement(("w",), 1, {"w": [[1.0 + 1.0j]]})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_entry_rejected(self, bad):
+        # comparisons with NaN are False and inf - inf is NaN, so the
+        # tolerance tests alone would let both through
+        with pytest.raises(NotHermitian):
+            PositiveElement(("w",), 2, {"w": [[1.0, 0.0], [0.0, bad]]})
+
 
 class TestClopenSetValidation:
     def test_mixed_systems_rejected(self, fib, pd):

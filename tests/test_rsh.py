@@ -37,7 +37,7 @@ from rokhlin.towers import admissible_sequences, build_towers
 class TestBetaPath:
     def test_identity_blocks(self, pd, pd_full):
         path = admissible_sequences(pd_full, 1)[0]
-        ident = StageElement.identity(pd_full, 0)
+        ident = StageElement.identity(pd_full).truncate(0)
         x = PointWindow(pd, Window(0, 3), "0001")
         assert np.array_equal(beta_path(pd_full, 1, path, ident, x), np.eye(2))
 
@@ -55,14 +55,14 @@ class TestBetaPath:
 
     def test_zero_blocks(self, pd, pd_full):
         path = admissible_sequences(pd_full, 1)[0]
-        zero = StageElement.zero(pd_full, 0)
+        zero = StageElement.zero(pd_full).truncate(0)
         x = PointWindow(pd, Window(0, 3), "0001")
         assert np.array_equal(beta_path(pd_full, 1, path, zero, x),
                               np.zeros((2, 2)))
 
     def test_point_outside_path_set(self, pd, pd_full):
         path = admissible_sequences(pd_full, 1)[0]
-        ident = StageElement.identity(pd_full, 0)
+        ident = StageElement.identity(pd_full).truncate(0)
         x = PointWindow(pd, Window(0, 3), "0100")
         with pytest.raises(PathMismatch):
             beta_path(pd_full, 1, path, ident, x)
@@ -70,7 +70,7 @@ class TestBetaPath:
 
 class TestBetaBoundary:
     def test_identity_boundary(self, pd_full):
-        out = beta_boundary(pd_full, 1, StageElement.identity(pd_full, 0))
+        out = beta_boundary(pd_full, 1, StageElement.identity(pd_full).truncate(0))
         for M in out.values.values():
             assert np.array_equal(M, np.eye(2))
 
@@ -202,6 +202,23 @@ class TestLift:
         top = MatrixCylinderFunction.identity(pd_full.bases[1], 2)
         with pytest.raises(NotInStageAlgebra):
             lift(pd_full, StageElement((bad0, top)))
+
+    def test_accepts_gluing_within_tolerance(self, pd):
+        # a top component that misses its glued boundary value by less than
+        # STAGE_TOL is still a stage element; its lift carries the glued value
+        S = build_towers(pd.cylinder(Window(0, 2), "101"), "full")
+        assert S.heights == (2, 6, 14)
+        b = sample_stage_element(S, np.random.default_rng(0))
+        top = b.components[2]
+        values = dict(top.values)
+        word = sorted(S.boundaries[2].words_on(top.window))[0]
+        values[word] = values[word].copy()
+        values[word][0, 0] += 1e-13
+        b2 = StageElement((*b.components[:2], MatrixCylinderFunction(
+            top.base, top.window, top.size, values)))
+        assert not b2.equal_exact(b)
+        assert in_stage_algebra(S, b2)
+        assert stage_from_gamma(lift(S, b2), S).equal_exact(b)
 
     # A hand-built height-2 tower over the whole space: both of its levels are
     # the whole space, so every word lies on two levels at once.
