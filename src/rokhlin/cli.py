@@ -248,11 +248,15 @@ def _check_injectivity(ctx):
 def _check_stage_membership(ctx):
     S = ctx["S"]
     rng = np.random.default_rng(ctx["seed"])
-    ok = True
+    detail = ""
     for _ in range(20):
         a = sample_subalgebra_element(S.system, S.Y, rng, max(S.heights) + 1)
-        ok = ok and rsh.in_stage_algebra(S, rsh.stage_from_gamma(a, S))
-    return CheckResult("stage-membership", ok, 0.0)
+        violations = rsh.checked_violations(S, rsh.stage_from_gamma(a, S))
+        if violations:
+            l, mu, word = violations[0]
+            detail = f"level {l}, mu={list(mu)}, word {word!r}"
+            break
+    return CheckResult("stage-membership", not detail, 0.0, detail)
 
 
 def _check_lift_roundtrip(ctx):

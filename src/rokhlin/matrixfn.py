@@ -3,10 +3,13 @@
 A ``MatrixCylinderFunction`` assigns one complex matrix to every word of its
 base set, enumerated over a window at least as wide as the base's canonical
 window.  Values are exact data (copied, never interpolated); all comparisons
-downstream are therefore bitwise or at the 1e-12 copy tolerance.
+downstream are therefore bitwise or at the 1e-12 copy tolerance.  The table
+is read-only: a mapping proxy over write-protected arrays.
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 import numpy as np
 
@@ -50,7 +53,7 @@ class MatrixCylinderFunction:
         self.base = base
         self.window = window
         self.size = size
-        self.values = table
+        self.values = MappingProxyType(table)
 
     @classmethod
     def constant(cls, base: ClopenSet, matrix) -> "MatrixCylinderFunction":
@@ -106,9 +109,12 @@ class MatrixCylinderFunction:
             return False
         w = self.window.hull(other.window)
         left = self.values_on(w)
+        if not left:
+            return True
         right = other.values_on(w)
-        return all(np.allclose(left[word], right[word], rtol=0.0, atol=atol)
-                   for word in left)
+        return bool(np.isclose(np.stack(list(left.values())),
+                               np.stack([right[word] for word in left]),
+                               rtol=0.0, atol=atol).all())
 
     def __repr__(self):
         return (f"MatrixCylinderFunction(size={self.size}, "

@@ -20,7 +20,7 @@ wraps the factored tables as a stage element and runs ``stage_violations``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -40,7 +40,7 @@ from .errors import (
     NotProductWindowSet,
     PathMismatch,
 )
-from .matrixfn import MatrixCylinderFunction, block_diagonal
+from .matrixfn import MatrixCylinderFunction
 from .subshift import ClopenSet, PointWindow, Window
 from .towers import AdmissiblePath, RokhlinSystem, admissible_sequences
 
@@ -52,6 +52,8 @@ class StageElement:
     """Tuple of matrix functions over the tower bases ``T_0 .. T_l``."""
 
     components: tuple
+    _violations: dict = field(default_factory=dict, init=False, compare=False,
+                              repr=False)
 
     @property
     def level(self) -> int:
@@ -84,13 +86,22 @@ def stage_from_gamma(a: FormalElement, S: RokhlinSystem) -> StageElement:
 # -- gluing maps ------------------------------------------------------------------
 
 
-def _glued_value(path: AdmissiblePath, b: StageElement, word: str,
+def _glued_stack(path: AdmissiblePath, b: StageElement, words,
                  window: Window) -> np.ndarray:
-    """The gluing along ``path`` at the point whose word on ``window`` is
-    ``word``: block ``s`` is component ``mu(s)`` read ``offsets[s]`` steps
-    along the orbit."""
-    return block_diagonal([b.components[idx].value(word, window.shift(-off))
-                           for idx, off in zip(path.mu, path.offsets)])
+    """The gluing along ``path`` at every point whose word on ``window`` is in
+    ``words``, stacked in that order: block ``s`` is component ``mu(s)`` read
+    ``offsets[s]`` steps along the orbit."""
+    comps = [b.components[idx] for idx in path.mu]
+    size = sum(comp.size for comp in comps)
+    out = np.zeros((len(words), size, size), dtype=complex)
+    pos = 0
+    for comp, off in zip(comps, path.offsets):
+        shifted = window.shift(-off)
+        k = comp.size
+        for row, w in zip(out, words):
+            row[pos : pos + k, pos : pos + k] = comp.value(w, shifted)
+        pos += k
+    return out
 
 
 def beta_path(S: RokhlinSystem, l: int, path: AdmissiblePath, b: StageElement,
@@ -105,7 +116,7 @@ def beta_path(S: RokhlinSystem, l: int, path: AdmissiblePath, b: StageElement,
         raise ValueError("need components for every tower below the path level")
     if not path.path_set.contains_point(x):
         raise PathMismatch(f"point is not in the path set of mu={path.mu}")
-    return _glued_value(path, b, x.word, x.window)
+    return _glued_stack(path, b, [x.word], x.window)[0]
 
 
 def _path_eval_window(path: AdmissiblePath, b: StageElement,
@@ -117,17 +128,13 @@ def _path_eval_window(path: AdmissiblePath, b: StageElement,
     return w
 
 
-def _beta_values_on(path: AdmissiblePath, b: StageElement,
-                    window: Window) -> dict:
-    """Gluing values for every word of the path set, keyed by window word."""
-    return {w: _glued_value(path, b, w, window)
-            for w in path.path_set.words_on(window)}
-
-
 def stage_violations(S: RokhlinSystem, b: StageElement):
     """All gluing violations ``(level, mu, word)``, lowest level first.
 
-    Raises ``ValueError`` when a component's size is not its tower's height.
+    One comparison per (level, path): the top component's values and the
+    glued values over the words of the path set are stacked and compared at
+    once.  Raises ``ValueError`` when a component's size is not its tower's
+    height.
     """
     for i, comp in enumerate(b.components):
         if comp.size != S.heights[i]:
@@ -140,17 +147,27 @@ def stage_violations(S: RokhlinSystem, b: StageElement):
             if path.path_set.is_empty():
                 continue
             window = _path_eval_window(path, b, comp.window)
-            glued = _beta_values_on(path, b, window)
-            for w, M in glued.items():
-                if not np.allclose(comp.value(w, window), M,
-                                   rtol=0.0, atol=STAGE_TOL):
-                    violations.append((l, path.mu, w))
+            words = list(path.path_set.words_on(window))
+            top = np.stack([comp.value(w, window) for w in words])
+            ok = np.isclose(top, _glued_stack(path, b, words, window),
+                            rtol=0.0, atol=STAGE_TOL).all(axis=(1, 2))
+            violations += [(l, path.mu, w) for w, good in zip(words, ok)
+                           if not good]
     return violations
+
+
+def checked_violations(S: RokhlinSystem, b: StageElement) -> tuple:
+    """``stage_violations(S, b)``, computed on the first call per system and
+    kept on ``b``; its tables are read-only, so the list cannot go stale."""
+    memo = b._violations
+    if S not in memo:
+        memo[S] = tuple(stage_violations(S, b))
+    return memo[S]
 
 
 def in_stage_algebra(S: RokhlinSystem, b: StageElement) -> bool:
     """Whether all gluing conditions hold at every word of every path set."""
-    return not stage_violations(S, b)
+    return not checked_violations(S, b)
 
 
 def beta_boundary(S: RokhlinSystem, l: int,
@@ -159,11 +176,13 @@ def beta_boundary(S: RokhlinSystem, l: int,
 
     Well defined because every boundary word lies on at least one path set and
     overlapping paths give the same matrix for stage-algebra inputs; raises
-    with the offending ``(mu, nu, word)`` when the input is not one.
+    with the offending ``(mu, nu, word)`` when the input is not one.  The
+    violations at level ``k`` read only components ``0 .. k``, so the
+    element's stored list, cut below ``l``, decides the lower levels.
     """
     if b.level < l - 1:
         raise ValueError("need components for every tower below the boundary level")
-    violations = stage_violations(S, b.truncate(l - 1))
+    violations = [v for v in checked_violations(S, b) if v[0] < l]
     if violations:
         raise NotInStageAlgebra(
             "components below the boundary level violate their own gluing",
@@ -176,16 +195,21 @@ def beta_boundary(S: RokhlinSystem, l: int,
     values = {}
     origin = {}
     for path in paths:
-        glued = _beta_values_on(path, b, window)
-        for w, M in glued.items():
-            if w in values:
-                if not np.allclose(values[w], M, rtol=0.0, atol=STAGE_TOL):
-                    raise NotInStageAlgebra(
-                        f"paths {origin[w]} and {path.mu} disagree at {w!r}",
-                        violation=(l, (origin[w], path.mu), w))
-            else:
-                values[w] = M
-                origin[w] = path.mu
+        words = list(path.path_set.words_on(window))
+        glued = _glued_stack(path, b, words, window)
+        seen = [i for i, w in enumerate(words) if w in values]
+        if seen:
+            agree = np.isclose(np.stack([values[words[i]] for i in seen]),
+                               glued[seen], rtol=0.0,
+                               atol=STAGE_TOL).all(axis=(1, 2))
+            if not agree.all():
+                w = words[seen[agree.argmin()]]
+                raise NotInStageAlgebra(
+                    f"paths {origin[w]} and {path.mu} disagree at {w!r}",
+                    violation=(l, (origin[w], path.mu), w))
+        for w, M in zip(words, glued):
+            values.setdefault(w, M)
+            origin.setdefault(w, path.mu)
     expected = D.words_on(window)
     missing = expected - set(values)
     if missing:
@@ -210,7 +234,7 @@ def lift(S: RokhlinSystem, b: StageElement) -> FormalElement:
     window shifted by ``n``; every other word gets zero.  The boundaries
     ``D_l`` are never read, so a lift carries the glued values there.
     """
-    violations = stage_violations(S, b)
+    violations = checked_violations(S, b)
     if violations:
         l, mu, word = violations[0]
         raise NotInStageAlgebra(
@@ -267,9 +291,8 @@ def _repair_gluing(S: RokhlinSystem, components):
         for path in admissible_sequences(S, l):
             if path.path_set.is_empty():
                 continue
-            glued = _beta_values_on(path, staged, window)
-            for w, M in glued.items():
-                values[w] = M
+            words = list(path.path_set.words_on(window))
+            values.update(zip(words, _glued_stack(path, staged, words, window)))
         out.append(MatrixCylinderFunction(comp.base, window, comp.size, values))
     return StageElement(tuple(out))
 
@@ -451,13 +474,23 @@ def _product_letter_sets(Y: ClopenSet, window: Window):
     return letters
 
 
+def _projection(X: ClopenSet, window: Window) -> frozenset:
+    """The words on ``window`` of the points of ``X``."""
+    hull = X.window.hull(window)
+    off = window.lo - hull.lo
+    return frozenset(w[off : off + window.length] for w in X.words_on(hull))
+
+
 def build_approximating_system(S: RokhlinSystem,
                                window: Window) -> ApproximatingSystem:
     """Project the towers of a product-window base onto finite windows.
 
     Requires the base set to be exactly the product of its per-coordinate
     letter sets over ``window``; every projection, preimage, containment, and
-    diagram condition is then checked word by word and recorded.
+    diagram condition is then checked on word sets and recorded.  The diagram
+    compares two routes to the block ``s`` of a path: slicing the projected
+    path-set words at ``offsets[s]``, and projecting the image ``h^{off}`` of
+    the path set, built with ``ClopenSet.shift``.
     """
     system = S.system
     Y = S.Y
@@ -491,19 +524,14 @@ def build_approximating_system(S: RokhlinSystem,
                 if image else system.empty_set()
             if not (preimage == path.path_set):
                 paths_ok = False
-            for s in range(1, len(mu) + 1):
-                off = path.offsets[s - 1]
-                width = window.length + S.heights[mu[s - 1]]
+            for idx, off in zip(mu, path.offsets):
+                width = window.length + S.heights[idx]
                 shifted = frozenset(w[off : off + width] for w in image)
-                if not shifted <= spaces[mu[s - 1]]:
+                if not shifted <= spaces[idx]:
                     containment_ok = False
-                big = proj_windows[l]
-                for w in path.path_set.words_on(big) if image else ():
-                    x = PointWindow(system, big, w)
-                    lhs = x.apply_shift(off).word_on(proj_windows[mu[s - 1]])
-                    rhs = w[off : off + width]
-                    if lhs != rhs:
-                        diagram_ok = False
+                if _projection(path.path_set.shift(off),
+                               proj_windows[idx]) != shifted:
+                    diagram_ok = False
     checks["path-preimage-matches"] = paths_ok
     checks["images-inside-projected-bases"] = containment_ok
     checks["diagram-commutes"] = diagram_ok

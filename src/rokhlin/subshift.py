@@ -434,10 +434,6 @@ class PointWindow:
         off = window.lo - self.window.lo
         return PointWindow(self.system, window, self.word[off : off + window.length])
 
-    def apply_shift(self, j: int) -> "PointWindow":
-        """The observation of ``h^j`` of the underlying point."""
-        return PointWindow(self.system, self.window.shift(-j), self.word)
-
     def word_on(self, window: Window) -> str:
         return self.restrict(window).word
 

@@ -6,6 +6,8 @@ factors of long iterated words, return times from scanning occurrence gaps.
 
 from itertools import product
 
+import numpy as np
+
 
 def iterate_substitution(rules: dict, start: str, min_len: int) -> str:
     """Apply the substitution from a single letter until the word is long."""
@@ -88,3 +90,44 @@ def brute_force_projection_error(fiber_values: dict, forced_zero: set):
 
 def all_rank_profiles(base_size: int, matrix_size: int):
     return product(range(matrix_size + 1), repeat=base_size)
+
+
+def _read(f, word: str, lo: int, off: int):
+    """Value of the tabulated function ``f`` at ``h^off`` of the point whose
+    word starts at coordinate ``lo``."""
+    start = f.window.lo + off - lo
+    return f.values[word[start : start + f.window.length]]
+
+
+def gluing_violations_oracle(components, paths_by_level, tol: float = 1e-12):
+    """Gluing violations ``(level, mu, word)``, found one word at a time.
+
+    ``components[l]`` is a tabulated matrix function (a ``window`` and a
+    ``values`` table keyed by the word on it); ``paths_by_level[l]`` lists the
+    paths of level ``l``, each with ``mu``, ``offsets`` and a ``path_set``.  At
+    each word of each nonempty path set, read on the narrowest window that
+    carries every block, the top component is compared by ``np.allclose``
+    with the block diagonal of the components ``mu[s]`` read ``offsets[s]``
+    steps along the orbit.
+    """
+    found = []
+    for l in range(1, len(components)):
+        top = components[l]
+        for path in paths_by_level[l]:
+            if path.path_set.is_empty():
+                continue
+            window = top.window.hull(path.path_set.window)
+            for idx, off in zip(path.mu, path.offsets):
+                window = window.hull(components[idx].window.shift(off))
+            for word in path.path_set.words_on(window):
+                want = _read(top, word, window.lo, 0)
+                glued = np.zeros(want.shape, dtype=complex)
+                pos = 0
+                for idx, off in zip(path.mu, path.offsets):
+                    block = _read(components[idx], word, window.lo, off)
+                    k = block.shape[0]
+                    glued[pos : pos + k, pos : pos + k] = block
+                    pos += k
+                if not np.allclose(want, glued, rtol=0.0, atol=tol):
+                    found.append((l, path.mu, word))
+    return found

@@ -3,9 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from rokhlin import cli
+from rokhlin import cli, rsh
 from rokhlin.cli import main
 from rokhlin.errors import InvariantViolated
+from rokhlin.matrixfn import MatrixCylinderFunction
 
 HERE = Path(__file__).parent
 CONFIGS = HERE / "configs"
@@ -162,6 +163,31 @@ class TestVerifyCommand:
         assert failed.detail == "levels 1,2"
         passed = cli.CHECKS["paths"]({"S": pd_full})
         assert passed.passed and passed.detail == ""
+
+    def test_stage_membership_names_first_violation(self, pd_full,
+                                                    monkeypatch):
+        # planted defect: the evaluation doubles the top component, which
+        # breaks its gluing to the level below
+        evaluate = rsh.stage_from_gamma
+        made = []
+
+        def doubled(a, S):
+            b = evaluate(a, S)
+            top = b.components[-1]
+            made.append(rsh.StageElement((*b.components[:-1],
+                                          MatrixCylinderFunction(
+                top.base, top.window, top.size,
+                {w: 2 * M for w, M in top.values.items()}))))
+            return made[-1]
+
+        passed = cli.CHECKS["stage-membership"]({"S": pd_full, "seed": 0})
+        assert passed.passed and passed.detail == ""
+        monkeypatch.setattr(rsh, "stage_from_gamma", doubled)
+        failed = cli.CHECKS["stage-membership"]({"S": pd_full, "seed": 0})
+        assert not failed.passed
+        level, mu, word = rsh.stage_violations(pd_full, made[-1])[0]
+        assert (level, mu) == (1, (0, 0))
+        assert failed.detail == f"level 1, mu=[0, 0], word {word!r}"
 
     def test_unknown_check_exit_two(self, capsys):
         rc = run("verify", "--config", str(CONFIGS / "fibonacci.json"),

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import rokhlin
+from oracles import gluing_violations_oracle
+from rokhlin import rsh
 from rokhlin.crossed import (
     CylinderFunction,
     FormalElement,
@@ -17,6 +19,7 @@ from rokhlin.crossed import (
 from rokhlin.errors import NotInStageAlgebra, NotProductWindowSet, PathMismatch
 from rokhlin.matrixfn import MatrixCylinderFunction
 from rokhlin.rsh import (
+    STAGE_TOL,
     StageElement,
     beta_boundary,
     beta_path,
@@ -32,6 +35,23 @@ from rokhlin.rsh import (
 )
 from rokhlin.subshift import ClopenSet, PointWindow, Window
 from rokhlin.towers import admissible_sequences, build_towers
+
+
+def _unconstrained(S, count, rng):
+    """A tuple of random components on the first ``count`` tower bases, with
+    no gluing imposed."""
+    comps = []
+    for i in range(count):
+        r = S.heights[i]
+        values = {w: rng.normal(size=(r, r)) for w in sorted(S.bases[i].words)}
+        comps.append(MatrixCylinderFunction(
+            S.bases[i], S.bases[i].window, r, values))
+    return StageElement(tuple(comps))
+
+
+def _broken_rudin(rudin):
+    """Rudin-Shapiro components on towers 0..2 that violate their own gluing."""
+    return _unconstrained(rudin, 3, np.random.default_rng(77))
 
 
 class TestBetaPath:
@@ -66,6 +86,26 @@ class TestBetaPath:
         x = PointWindow(pd, Window(0, 3), "0100")
         with pytest.raises(PathMismatch):
             beta_path(pd_full, 1, path, ident, x)
+
+
+class TestMatrixCylinderFunction:
+    def test_value_table_is_read_only(self, pd_full):
+        f = MatrixCylinderFunction.identity(pd_full.bases[1], 2)
+        word = next(iter(f.values))
+        with pytest.raises(TypeError):
+            f.values[word] = np.zeros((2, 2))
+        with pytest.raises(ValueError):
+            f.values[word][0, 0] = 0.0
+
+    def test_allclose_compares_every_word(self, pd_full):
+        f = MatrixCylinderFunction.identity(pd_full.bases[1], 2)
+        values = dict(f.values)
+        word = sorted(values)[-1]
+        values[word] = values[word] + 2e-12
+        g = MatrixCylinderFunction(f.base, f.window, 2, values)
+        assert g.allclose(f) is False
+        assert g.allclose(f, atol=1e-11) is True
+        assert g.allclose(g, atol=0.0) is True
 
 
 class TestBetaBoundary:
@@ -103,17 +143,57 @@ class TestBetaBoundary:
         # lower components that already violate their own gluing are rejected
         # before any boundary value is computed; needs a system whose
         # intermediate levels have nonempty path sets
-        rng = np.random.default_rng(77)
-        comps = []
-        for i in range(3):
-            r = rudin.heights[i]
-            values = {w: rng.normal(size=(r, r))
-                      for w in sorted(rudin.bases[i].words)}
-            comps.append(MatrixCylinderFunction(
-                rudin.bases[i], rudin.bases[i].window, r, values))
         with pytest.raises(NotInStageAlgebra) as err:
-            beta_boundary(rudin, 3, StageElement(tuple(comps)))
+            beta_boundary(rudin, 3, _broken_rudin(rudin))
         assert err.value.violation is not None
+
+    def test_broken_lower_levels_reported_as_on_the_truncation(self, rudin):
+        # the first violation below the boundary level, read from the whole
+        # element's list, is the first one of the truncated element
+        b = _broken_rudin(rudin)
+        for l in (2, 3):
+            expected = stage_violations(rudin, b.truncate(l - 1))[0]
+            for element in (b, b.truncate(l - 1)):
+                with pytest.raises(NotInStageAlgebra) as err:
+                    beta_boundary(rudin, l, element)
+                assert str(err.value) == ("components below the boundary "
+                                          "level violate their own gluing")
+                assert err.value.violation == expected
+
+    def test_disagreeing_paths_named_in_word_order(self, rudin, monkeypatch):
+        # with the lower-level check bypassed, broken lower components glue
+        # different values on overlapping paths; the first clash in path and
+        # word order is the one a word-by-word replay finds
+        b = _broken_rudin(rudin)
+        l = 3
+        paths = [p for p in admissible_sequences(rudin, l)
+                 if not p.path_set.is_empty()]
+        window = rudin.boundaries[l].window
+        for path in paths:
+            window = rsh._path_eval_window(path, b, window)
+        first, clashes = {}, []
+        for path in paths:
+            for w in path.path_set.words_on(window):
+                M = beta_path(rudin, l, path, b,
+                              PointWindow(rudin.system, window, w))
+                if w not in first:
+                    first[w] = (path.mu, M)
+                elif not np.allclose(first[w][1], M, rtol=0.0, atol=STAGE_TOL):
+                    clashes.append((l, (first[w][0], path.mu), w))
+        assert clashes
+        monkeypatch.setattr(rsh, "checked_violations", lambda S, b: ())
+        with pytest.raises(NotInStageAlgebra) as err:
+            beta_boundary(rudin, l, b)
+        _, (mu, nu), w = clashes[0]
+        assert err.value.violation == clashes[0]
+        assert str(err.value) == f"paths {mu} and {nu} disagree at {w!r}"
+
+    def test_wrong_size_above_the_boundary_level_rejected(self, pd_full):
+        # every component's size is checked, not only those below the level
+        b = StageElement((StageElement.identity(pd_full).components[0],
+                          MatrixCylinderFunction.identity(pd_full.bases[1], 3)))
+        with pytest.raises(ValueError, match="component 1 has size 3"):
+            beta_boundary(pd_full, 1, b)
 
 
 class TestStageMembership:
@@ -134,19 +214,42 @@ class TestStageMembership:
         rng = np.random.default_rng(14)
         hits = 0
         for _ in range(20):
-            comps = []
-            for i in range(pd_full.m + 1):
-                r = pd_full.heights[i]
-                values = {w: rng.normal(size=(r, r))
-                          for w in pd_full.bases[i].words}
-                comps.append(MatrixCylinderFunction(
-                    pd_full.bases[i], pd_full.bases[i].window, r, values))
-            stage = StageElement(tuple(comps))
+            stage = _unconstrained(pd_full, pd_full.m + 1, rng)
             if not in_stage_algebra(pd_full, stage):
                 hits += 1
                 level, mu, word = stage_violations(pd_full, stage)[0]
                 assert level == 1 and mu == (0, 0)
         assert hits == 20
+
+    def test_violations_match_per_word_oracle(self, rudin, pd_full):
+        rng = np.random.default_rng(14)
+        cases = [(rudin, _broken_rudin(rudin))]
+        cases += [(pd_full, _unconstrained(pd_full, pd_full.m + 1, rng))
+                  for _ in range(20)]
+        for S, b in cases:
+            paths = [admissible_sequences(S, l) for l in range(b.level + 1)]
+            expected = gluing_violations_oracle(b.components, paths, STAGE_TOL)
+            assert expected
+            assert stage_violations(S, b) == expected
+
+    def test_violations_computed_once_per_element(self, pd, monkeypatch):
+        S = build_towers(pd.cylinder(Window(0, 2), "101"), "full")
+        b = sample_stage_element(S, np.random.default_rng(3))
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return stage_violations(*args)
+
+        monkeypatch.setattr(rsh, "stage_violations", counting)
+        assert in_stage_algebra(S, b)
+        for l in range(1, S.m + 1):
+            beta_boundary(S, l, b)
+        lift(S, b)
+        assert len(calls) == 1
+        other = build_towers(pd.cylinder(Window(0, 2), "101"), "full")
+        assert in_stage_algebra(other, b)
+        assert len(calls) == 2
 
     def test_sampled_elements_are_members(self, reference_systems):
         rng = np.random.default_rng(15)
@@ -295,6 +398,18 @@ class TestApproximatingSystem:
         S = build_towers(pd.cylinder(window, word), "full")
         A = build_approximating_system(S, window)
         assert A.passed, A.checks
+
+    def test_diagram_fails_when_the_shift_goes_the_wrong_way(self, pd,
+                                                              monkeypatch):
+        # planted defect: ClopenSet.shift moves constraints forward, so the
+        # image h^off of a path set no longer projects onto the sliced words
+        S = build_towers(pd.cylinder(Window(0, 2), "101"), "full")
+        assert build_approximating_system(S, S.Y.window).checks[
+            "diagram-commutes"]
+        monkeypatch.setattr(ClopenSet, "shift", lambda self, j: ClopenSet(
+            self.system, self.window.shift(j), self.words))
+        A = build_approximating_system(S, S.Y.window)
+        assert A.checks["diagram-commutes"] is False
 
     def test_fibonacci_direct_sum(self, fib_full):
         A = build_approximating_system(fib_full, Window(0, 0))
