@@ -230,6 +230,9 @@ class FormalElement:
         for item in data["terms"]:
             window = Window.from_json(item["window"])
             values = {w: complex(re, im) for w, (re, im) in item["values"].items()}
+            bad = sorted(w for w, v in values.items() if not np.isfinite(v))
+            if bad:
+                raise ValueError(f"non-finite coefficient at word {bad[0]!r}")
             terms[int(item["n"])] = CylinderFunction(system, window, values)
         return FormalElement(system, terms)
 

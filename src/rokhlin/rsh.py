@@ -129,7 +129,7 @@ def _path_eval_window(path: AdmissiblePath, b: StageElement,
 
 
 def stage_violations(S: RokhlinSystem, b: StageElement):
-    """All gluing violations ``(level, mu, word)``, lowest level first.
+    """All gluing violations ``(level, mu, word)``, by level, path and word.
 
     One comparison per (level, path): the top component's values and the
     glued values over the words of the path set are stacked and compared at
@@ -147,7 +147,7 @@ def stage_violations(S: RokhlinSystem, b: StageElement):
             if path.path_set.is_empty():
                 continue
             window = _path_eval_window(path, b, comp.window)
-            words = list(path.path_set.words_on(window))
+            words = sorted(path.path_set.words_on(window))
             top = np.stack([comp.value(w, window) for w in words])
             ok = np.isclose(top, _glued_stack(path, b, words, window),
                             rtol=0.0, atol=STAGE_TOL).all(axis=(1, 2))
@@ -195,7 +195,7 @@ def beta_boundary(S: RokhlinSystem, l: int,
     values = {}
     origin = {}
     for path in paths:
-        words = list(path.path_set.words_on(window))
+        words = sorted(path.path_set.words_on(window))
         glued = _glued_stack(path, b, words, window)
         seen = [i for i, w in enumerate(words) if w in values]
         if seen:
@@ -248,7 +248,7 @@ def lift(S: RokhlinSystem, b: StageElement) -> FormalElement:
     level_of = {}
     for l in range(b.level + 1):
         for j, L in enumerate(S.levels[l]):
-            for w in L.words_on(window):
+            for w in sorted(L.words_on(window)):
                 if w in level_of:
                     raise InvariantViolated(
                         f"levels {level_of[w]} and {(l, j)} overlap at {w!r}")
@@ -569,7 +569,7 @@ def phi_range_check(S: RokhlinSystem, A: ApproximatingSystem,
         big = comp.values_on(V)
         off = I.lo - V.lo
         table: dict = {}
-        for w, M in big.items():
+        for w, M in sorted(big.items()):
             key = w[off : off + I.length]
             if key in table:
                 if not np.allclose(table[key], M, rtol=0.0, atol=STAGE_TOL):

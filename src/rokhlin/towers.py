@@ -214,17 +214,14 @@ def verify_rokhlin_axioms(S: RokhlinSystem) -> AxiomReport:
     return AxiomReport(conditions=conditions, irredundant=irredundant)
 
 
-def _disjoint_union(system, pieces, window):
-    """Word sets of the pieces on ``window`` if pairwise disjoint, else None."""
+def _disjoint_union(pieces):
+    """Union of the word sets ``pieces`` if pairwise disjoint, else None."""
     seen = set()
     total = 0
-    for piece in pieces:
-        words = piece.words_on(window)
+    for words in pieces:
         total += len(words)
         seen |= words
-    if len(seen) != total:
-        return None
-    return frozenset(seen)
+    return seen if len(seen) == total else None
 
 
 @dataclass(frozen=True)
@@ -245,36 +242,38 @@ class PartitionReport:
 def partition_identities(S: RokhlinSystem) -> PartitionReport:
     """Verify the level-partition identities of a tower system, exactly.
 
-    Disjointness and coverage are both checked over a window wide enough to
-    carry every set involved (base windows padded by the maximal height plus
-    slack).
+    Every set involved is enumerated once on ``S.verification_window()``,
+    which carries all of them (base windows padded by the maximal height plus
+    slack); disjointness and coverage are then tested on those word sets.
     """
-    system = S.system
     window = S.verification_window()
+    full = S.system.language(window.length)
     rm = max(S.heights)
-    Y = S.Y
+    Y = S.Y.words_on(window)
+    interiors = [T0.words_on(window) for T0 in S.interiors]
+    rows = [[I, *(L.words_on(window) for L in row[1:])] if row else []
+            for I, row in zip(interiors, S.levels)]
+    forward = [S.Y.translates(n).words_on(window) for n in range(rm + 1)]
 
     def partitions(pieces, target):
-        union = _disjoint_union(system, pieces, window)
-        return union is not None and union == target.words_on(window)
+        return _disjoint_union(pieces) == target
 
     identities = {
-        "interiors-partition-Y": partitions(S.interiors, Y),
-        "levels-partition-X": partitions(
-            [L for row in S.levels for L in row], system.full_set()),
+        "interiors-partition-Y": partitions(interiors, Y),
+        "levels-partition-X": partitions([L for row in rows for L in row], full),
         "tops-partition-Y": partitions(
-            [T0.shift(r) for T0, r in zip(S.interiors, S.heights)], Y),
+            [T0.shift(r).words_on(window)
+             for T0, r in zip(S.interiors, S.heights)], Y),
         "forward-union-partition": all(
-            partitions([L for row in S.levels for L in row[:n]],
-                       Y.translates(n))
+            partitions([L for row in rows for L in row[:n]], forward[n])
             for n in range(rm + 1)),
         "backward-union-partition": all(
-            partitions([L for row in S.levels for L in row[-n:]],
-                       Y.translates(-n))
+            partitions([L for row in rows for L in row[-n:]],
+                       S.Y.translates(-n).words_on(window))
             for n in range(1, rm + 1)),
-        "orbit-of-Y-covers-X": Y.translates(rm) == system.full_set(),
+        "orbit-of-Y-covers-X": forward[rm] == full,
         "complement-partition": partitions(
-            [L for row in S.levels for L in row[1:]], system.full_set() - Y),
+            [L for row in rows for L in row[1:]], full - Y),
     }
     return PartitionReport(identities=identities, window=window)
 
@@ -346,39 +345,29 @@ def boundary_path_cover(S: RokhlinSystem, l: int) -> bool:
     towers ``0..l`` tile their union ``X_l``, that distinct levels of tower
     ``l`` only meet inside ``X_{l-1}`` and never meet interior levels, that a
     base point whose level enters ``X_{l-1}`` lies on the boundary, and that
-    ``D_l = T_l \\cap X_{l-1}``.
+    ``D_l = T_l \\cap X_{l-1}``.  Each set is enumerated once on
+    ``S.verification_window()``; level ``j`` of tower ``l`` is tested against
+    the unions of the levels ``h^i(T_l)`` and ``h^i(T_l^0)``, ``i < j``.
     """
-    system = S.system
     window = S.verification_window()
-    D = S.boundaries[l]
+    D = S.boundaries[l].words_on(window)
     paths = admissible_sequences(S, l)
-    cover = system.empty_set()
-    for path in paths:
-        if not path.path_set.issubset(D):
-            return False
-        cover = cover | path.path_set
-    if cover != D:
+    if set().union(*(p.path_set.words_on(window) for p in paths)) != D:
+        return False
+    rows = [[L.words_on(window) for L in row] for row in S.levels[:l + 1]]
+    if _disjoint_union(L for row in rows for L in row) != \
+            S.tower_union(l).words_on(window):
         return False
 
-    X_prev = S.tower_union(l - 1)
-    X_l = S.tower_union(l)
-    levels = [L for row in S.levels[:l + 1] for L in row]
-    union = _disjoint_union(system, levels, window)
-    if union is None or union != X_l.words_on(window):
-        return False
-
-    T, r = S.bases[l], S.heights[l]
-    shifted = [T.shift(j) for j in range(r)]
-    for j1 in range(r):
-        for j2 in range(r):
-            if j1 == j2:
-                continue
-            if not (shifted[j1] & shifted[j2]).issubset(X_prev):
-                return False
-            if not (shifted[j1] & S.levels[l][j2]).is_empty():
-                return False
-    for j in range(r):
-        entering = T & X_prev.shift(-j)
-        if not entering.issubset(D):
+    T, X_prev = S.bases[l], S.tower_union(l - 1)
+    T_words, X_words = T.words_on(window), X_prev.words_on(window)
+    closed, interior = set(), set()
+    for j, L in enumerate(rows[l]):
+        C = T.shift(j).words_on(window)
+        entering = T_words & X_prev.shift(-j).words_on(window)
+        if not ((C & closed) <= X_words and C.isdisjoint(interior)
+                and L.isdisjoint(closed) and entering <= D):
             return False
-    return D == (T & X_prev)
+        closed |= C
+        interior |= L
+    return D == (T_words & X_words)

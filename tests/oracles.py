@@ -2,6 +2,8 @@
 
 Nothing here imports the package's enumeration machinery: languages come from
 factors of long iterated words, return times from scanning occurrence gaps.
+The tower-check oracles are the pairwise definitions, written in clopen-set
+algebra on the system they are given.
 """
 
 from itertools import product
@@ -105,10 +107,10 @@ def gluing_violations_oracle(components, paths_by_level, tol: float = 1e-12):
     ``components[l]`` is a tabulated matrix function (a ``window`` and a
     ``values`` table keyed by the word on it); ``paths_by_level[l]`` lists the
     paths of level ``l``, each with ``mu``, ``offsets`` and a ``path_set``.  At
-    each word of each nonempty path set, read on the narrowest window that
-    carries every block, the top component is compared by ``np.allclose``
-    with the block diagonal of the components ``mu[s]`` read ``offsets[s]``
-    steps along the orbit.
+    each word of each nonempty path set, least word first, read on the
+    narrowest window that carries every block, the top component is compared
+    by ``np.allclose`` with the block diagonal of the components ``mu[s]``
+    read ``offsets[s]`` steps along the orbit.
     """
     found = []
     for l in range(1, len(components)):
@@ -119,7 +121,7 @@ def gluing_violations_oracle(components, paths_by_level, tol: float = 1e-12):
             window = top.window.hull(path.path_set.window)
             for idx, off in zip(path.mu, path.offsets):
                 window = window.hull(components[idx].window.shift(off))
-            for word in path.path_set.words_on(window):
+            for word in sorted(path.path_set.words_on(window)):
                 want = _read(top, word, window.lo, 0)
                 glued = np.zeros(want.shape, dtype=complex)
                 pos = 0
@@ -131,3 +133,87 @@ def gluing_violations_oracle(components, paths_by_level, tol: float = 1e-12):
                 if not np.allclose(want, glued, rtol=0.0, atol=tol):
                     found.append((l, path.mu, word))
     return found
+
+
+def _disjoint_words(pieces, window):
+    """Word sets of the clopen ``pieces`` on ``window`` if pairwise disjoint,
+    else None."""
+    seen = set()
+    total = 0
+    for piece in pieces:
+        words = piece.words_on(window)
+        total += len(words)
+        seen |= words
+    if len(seen) != total:
+        return None
+    return frozenset(seen)
+
+
+def partition_identities_oracle(S) -> dict:
+    """The level-partition identities of the tower system ``S``, each set
+    enumerated again wherever an identity uses it."""
+    system = S.system
+    window = S.verification_window()
+    rm = max(S.heights)
+    Y = S.Y
+
+    def partitions(pieces, target):
+        union = _disjoint_words(pieces, window)
+        return union is not None and union == target.words_on(window)
+
+    return {
+        "interiors-partition-Y": partitions(S.interiors, Y),
+        "levels-partition-X": partitions(
+            [L for row in S.levels for L in row], system.full_set()),
+        "tops-partition-Y": partitions(
+            [T0.shift(r) for T0, r in zip(S.interiors, S.heights)], Y),
+        "forward-union-partition": all(
+            partitions([L for row in S.levels for L in row[:n]],
+                       Y.translates(n))
+            for n in range(rm + 1)),
+        "backward-union-partition": all(
+            partitions([L for row in S.levels for L in row[-n:]],
+                       Y.translates(-n))
+            for n in range(1, rm + 1)),
+        "orbit-of-Y-covers-X": Y.translates(rm) == system.full_set(),
+        "complement-partition": partitions(
+            [L for row in S.levels for L in row[1:]], system.full_set() - Y),
+    }
+
+
+def boundary_path_cover_oracle(S, l: int, paths) -> bool:
+    """The structural checks of level ``l`` over every ordered pair of the
+    levels of tower ``l``; ``paths`` are the admissible paths of that level."""
+    system = S.system
+    window = S.verification_window()
+    D = S.boundaries[l]
+    cover = system.empty_set()
+    for path in paths:
+        if not path.path_set.issubset(D):
+            return False
+        cover = cover | path.path_set
+    if cover != D:
+        return False
+
+    X_prev = S.tower_union(l - 1)
+    X_l = S.tower_union(l)
+    levels = [L for row in S.levels[:l + 1] for L in row]
+    union = _disjoint_words(levels, window)
+    if union is None or union != X_l.words_on(window):
+        return False
+
+    T, r = S.bases[l], S.heights[l]
+    shifted = [T.shift(j) for j in range(r)]
+    for j1 in range(r):
+        for j2 in range(r):
+            if j1 == j2:
+                continue
+            if not (shifted[j1] & shifted[j2]).issubset(X_prev):
+                return False
+            if not (shifted[j1] & S.levels[l][j2]).is_empty():
+                return False
+    for j in range(r):
+        entering = T & X_prev.shift(-j)
+        if not entering.issubset(D):
+            return False
+    return D == (T & X_prev)

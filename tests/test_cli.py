@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rokhlin
 from rokhlin import cli, rsh
 from rokhlin.cli import main
 from rokhlin.errors import InvariantViolated
@@ -189,6 +193,35 @@ class TestVerifyCommand:
         assert (level, mu) == (1, (0, 0))
         assert failed.detail == f"level 1, mu=[0, 0], word {word!r}"
 
+    # The planted defect above on period-doubling 0=0, run in a fresh process.
+    DOUBLED_TOP = """
+from rokhlin import cli, rsh
+from rokhlin.matrixfn import MatrixCylinderFunction
+from rokhlin.subshift import Window, period_doubling
+from rokhlin.towers import build_towers
+S = build_towers(period_doubling().cylinder(Window(0, 0), "0"), "full")
+evaluate = rsh.stage_from_gamma
+def doubled(a, S):
+    b = evaluate(a, S)
+    top = b.components[-1]
+    return rsh.StageElement((*b.components[:-1], MatrixCylinderFunction(
+        top.base, top.window, top.size,
+        {w: 2 * M for w, M in top.values.items()})))
+rsh.stage_from_gamma = doubled
+print(cli.CHECKS["stage-membership"]({"S": S, "seed": 0}).detail)
+"""
+
+    def test_first_violation_does_not_depend_on_hash_seed(self):
+        src = str(Path(rokhlin.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        details = {subprocess.run(
+            [sys.executable, "-c", self.DOUBLED_TOP],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)).stdout
+            for seed in ("1", "2", "3")}
+        assert len(details) == 1
+        assert details.pop().startswith("level 1, mu=[0, 0], word ")
+
     def test_unknown_check_exit_two(self, capsys):
         rc = run("verify", "--config", str(CONFIGS / "fibonacci.json"),
                  "--checks", "axioms,nonsense")
@@ -266,6 +299,10 @@ class TestEvalCommand:
         {"terms": 5},
         [],
         {"terms": [{"n": 1, "window": [0, 0], "values": []}]},
+        {"terms": [{"n": 1, "window": [0, 0],
+                    "values": {"0": [float("nan"), 0.0], "1": [1.0, 0.0]}}]},
+        {"terms": [{"n": 1, "window": [0, 0],
+                    "values": {"0": [0.0, float("inf")], "1": [1.0, 0.0]}}]},
     ])
     def test_malformed_element_exit_two(self, element, tmp_path, capsys):
         elem = tmp_path / "elem.json"

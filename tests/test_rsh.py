@@ -162,8 +162,8 @@ class TestBetaBoundary:
 
     def test_disagreeing_paths_named_in_word_order(self, rudin, monkeypatch):
         # with the lower-level check bypassed, broken lower components glue
-        # different values on overlapping paths; the first clash in path and
-        # word order is the one a word-by-word replay finds
+        # different values on overlapping paths; the first clash in path
+        # order, least word first, is the one a word-by-word replay finds
         b = _broken_rudin(rudin)
         l = 3
         paths = [p for p in admissible_sequences(rudin, l)
@@ -173,7 +173,7 @@ class TestBetaBoundary:
             window = rsh._path_eval_window(path, b, window)
         first, clashes = {}, []
         for path in paths:
-            for w in path.path_set.words_on(window):
+            for w in sorted(path.path_set.words_on(window)):
                 M = beta_path(rudin, l, path, b,
                               PointWindow(rudin.system, window, w))
                 if w not in first:

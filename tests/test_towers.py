@@ -1,9 +1,16 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import gap_oracle, return_piece_words
-from rokhlin.errors import BoundSearchExceeded
-from rokhlin.subshift import Window, fibonacci
+from oracles import (
+    boundary_path_cover_oracle,
+    gap_oracle,
+    partition_identities_oracle,
+    return_piece_words,
+)
+from rokhlin.errors import BoundSearchExceeded, NonPrimitive, PeriodicSystem
+from rokhlin.subshift import SubstitutionSystem, Window, fibonacci
 from rokhlin.towers import (
+    VARIANTS,
     RokhlinSystem,
     admissible_sequences,
     boundary_path_cover,
@@ -285,3 +292,91 @@ class TestNegativeControls:
         assert {k for k, v in rep.identities.items() if not v} == identities
         assert [l for l in range(S.m + 1)
                 if not boundary_path_cover(S, l)] == levels
+
+
+def _hand_built_variants(S):
+    """``S`` with each height moved by one either way, and with each base
+    dropped."""
+    out = []
+    for i in range(S.m + 1):
+        for step in (-1, 1):
+            heights = list(S.heights)
+            heights[i] += step
+            out.append(RokhlinSystem(S.system, S.variant, S.Y, S.bases,
+                                     heights))
+        out.append(RokhlinSystem(S.system, S.variant, S.Y,
+                                 S.bases[:i] + S.bases[i + 1:],
+                                 S.heights[:i] + S.heights[i + 1:]))
+    return out
+
+
+def _check_verdicts(S):
+    """The identities and the per-level boundary verdicts of ``S``, from the
+    one-pass checks and from the pairwise oracles."""
+    levels = range(S.m + 1)
+    checks = (partition_identities(S).identities,
+              [boundary_path_cover(S, l) for l in levels])
+    oracles = (partition_identities_oracle(S),
+               [boundary_path_cover_oracle(S, l, admissible_sequences(S, l))
+                for l in levels])
+    return checks, oracles
+
+
+class TestChecksMatchPairwiseOracles:
+    """The one-pass tower checks give the booleans of the pairwise
+    definitions, identity by identity and level by level, on sound and on
+    broken systems."""
+
+    @pytest.fixture(scope="class")
+    def systems(self, reference_systems, rudin, pd101_defects, pd, tm):
+        out = [build_towers(Y, variant) for _, _, _, Y in reference_systems
+               for variant in ("standard", "full")]
+        out += [rudin, *pd101_defects.values()]
+        for Y, heights in ((pd.cylinder(Window(0, 2), "101"), (2, 6, 14)),
+                           (tm.cylinder(Window(0, 3), "0110"), (4, 6, 8))):
+            S = build_towers(Y, "full")
+            assert S.heights == heights
+            out += _hand_built_variants(S)
+        return out
+
+    def test_verdicts_match(self, systems):
+        failing = 0
+        for S in systems:
+            checks, oracles = _check_verdicts(S)
+            assert checks == oracles, S
+            identities, levels = checks
+            failing += not (all(identities.values()) and all(levels))
+        # the hand-built variants break the checks, so agreement is not vacuous
+        assert 0 < failing < len(systems)
+
+
+@st.composite
+def _small_substitutions(draw):
+    """Rules on 2-3 letters with images of length 1-3, a cylinder length of
+    1-2, an index into that length's language and a tower variant."""
+    alphabet = "abc"[:draw(st.integers(2, 3))]
+    image = st.text(alphabet=alphabet, min_size=1, max_size=3)
+    rules = {a: draw(image) for a in alphabet}
+    return (rules, draw(st.integers(1, 2)), draw(st.integers(0, 63)),
+            draw(st.sampled_from(VARIANTS)))
+
+
+class TestSmallSubstitutionSweep:
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(_small_substitutions())
+    def test_towers_match_gaps_and_pass_checks(self, drawn):
+        rules, length, pick, variant = drawn
+        try:
+            system = SubstitutionSystem(sorted(rules), rules)
+            words = sorted(system.language(length))
+            word = words[pick % len(words)]
+            Y = system.cylinder(Window(0, length - 1), word)
+            S = build_towers(Y, variant)
+        except (NonPrimitive, PeriodicSystem, BoundSearchExceeded):
+            assume(False)
+        assert S.heights == tuple(sorted(gap_oracle(rules, [word])))
+        checks, oracles = _check_verdicts(S)
+        assert checks == oracles
+        identities, levels = checks
+        assert all(identities.values()) and all(levels), identities
