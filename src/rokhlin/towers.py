@@ -78,8 +78,8 @@ class RokhlinSystem:
     ``D_l = T_l \\cap (T_0 \\cup .. \\cup T_{l-1})`` and ``T_l^0 = T_l - D_l``;
     ``levels[l][j]`` is ``h^j(T_l^0)`` for ``0 <= j < r_l``; ``window`` is the
     hull of the windows of ``Y`` and of the bases.
-    The constructor accepts arbitrary data so that the verifier can be run
-    against hand-built (possibly invalid) systems.
+    Any bases and any heights of at least 1 are accepted, so that the
+    verifier can be run against hand-built (possibly invalid) systems.
     """
 
     def __init__(self, system: SubstitutionSystem, variant: str, Y: ClopenSet,
@@ -93,6 +93,8 @@ class RokhlinSystem:
         self.Y = Y
         self.bases = tuple(bases)
         self.heights = tuple(int(r) for r in heights)
+        if min(self.heights) < 1:
+            raise ValueError(f"heights must be at least 1, got {self.heights}")
         boundaries = []
         interiors = []
         levels = []
@@ -302,6 +304,9 @@ def admissible_sequences(S: RokhlinSystem, l: int) -> list:
     A path ``mu`` is a sequence over ``{0 .. l-1}`` whose heights sum to
     ``r_l``; its set is ``T_l`` intersected with the pulled-back bases along
     the partial sums.  Many path sets are legitimately empty.
+    Each set is its prefix's set cut by one more base, and an empty prefix
+    is not cut further.  As heights are at least 1, no path is a prefix of
+    another, so the depth-first walk below is already in lexicographic order.
     Built on the first call and kept on ``S``: later calls return the same
     list, which no caller mutates.
     """
@@ -310,30 +315,21 @@ def admissible_sequences(S: RokhlinSystem, l: int) -> list:
     if l in S._paths:
         return S._paths[l]
     target = S.heights[l]
-    paths = []
+    out = []
 
-    def extend(mu, total):
+    def extend(mu, offsets, piece, total):
         if total == target:
-            paths.append(tuple(mu))
+            out.append(AdmissiblePath(l=l, mu=mu, path_set=piece,
+                                      offsets=offsets))
             return
         for i in range(l):
             if total + S.heights[i] <= target:
-                mu.append(i)
-                extend(mu, total + S.heights[i])
-                mu.pop()
+                extend(mu + (i,), offsets + (total,),
+                       piece if piece.is_empty()
+                       else piece & S.bases[i].shift(-total),
+                       total + S.heights[i])
 
-    extend([], 0)
-    out = []
-    for mu in sorted(paths):
-        piece = S.bases[l]
-        offsets = []
-        partial = 0
-        for idx in mu:
-            offsets.append(partial)
-            piece = piece & S.bases[idx].shift(-partial)
-            partial += S.heights[idx]
-        out.append(AdmissiblePath(l=l, mu=mu, path_set=piece,
-                                  offsets=tuple(offsets)))
+    extend((), (), S.bases[l], 0)
     S._paths[l] = out
     return out
 
@@ -341,13 +337,23 @@ def admissible_sequences(S: RokhlinSystem, l: int) -> list:
 def boundary_path_cover(S: RokhlinSystem, l: int) -> bool:
     """Exact structural checks for level ``l`` of the decomposition.
 
-    Verifies that the path sets cover the boundary ``D_l``, that the levels of
-    towers ``0..l`` tile their union ``X_l``, that distinct levels of tower
-    ``l`` only meet inside ``X_{l-1}`` and never meet interior levels, that a
-    base point whose level enters ``X_{l-1}`` lies on the boundary, and that
-    ``D_l = T_l \\cap X_{l-1}``.  Each set is enumerated once on
-    ``S.verification_window()``; level ``j`` of tower ``l`` is tested against
-    the unions of the levels ``h^i(T_l)`` and ``h^i(T_l^0)``, ``i < j``.
+    Three tests, each set enumerated once on ``S.verification_window()``:
+    the path sets cover the boundary ``D_l``; the levels of towers ``0..l``
+    tile their union ``X_l``; and ``Q_l``: no interior level ``h^j(T_l^0)``
+    meets ``X_{l-1}``.
+
+    Given the cover and the tiling, ``Q_l`` decides the pairwise conditions
+    on tower ``l``: distinct closed levels ``h^i(T_l)`` meet only inside
+    ``X_{l-1}`` and never meet an interior level, a base point whose orbit
+    meets ``X_{l-1}`` at a step ``j < r_l`` lies on ``D_l``, and
+    ``D_l = T_l \\cap X_{l-1}``.  Proof, for heights of at least 1: a point
+    of ``D_l`` lies on a path, which puts each orbit step ``i < r_l`` in a
+    closed level of a tower ``mu_s < l``, so ``h^i(D_l) \\subseteq X_{l-1}``.
+    As ``h^i(T_l) = h^i(D_l) \\cup h^i(T_l^0)``, where the interior levels are
+    pairwise disjoint by the tiling and miss ``X_{l-1}`` by ``Q_l``, each
+    condition follows.  Conversely, if ``x`` lies in
+    ``X_{l-1} \\cap h^j(T_l^0)``, then ``h^{-j} x`` is a base point outside
+    ``D_l`` whose orbit meets ``X_{l-1}`` at step ``j``.
     """
     window = S.verification_window()
     D = S.boundaries[l].words_on(window)
@@ -358,16 +364,5 @@ def boundary_path_cover(S: RokhlinSystem, l: int) -> bool:
     if _disjoint_union(L for row in rows for L in row) != \
             S.tower_union(l).words_on(window):
         return False
-
-    T, X_prev = S.bases[l], S.tower_union(l - 1)
-    T_words, X_words = T.words_on(window), X_prev.words_on(window)
-    closed, interior = set(), set()
-    for j, L in enumerate(rows[l]):
-        C = T.shift(j).words_on(window)
-        entering = T_words & X_prev.shift(-j).words_on(window)
-        if not ((C & closed) <= X_words and C.isdisjoint(interior)
-                and L.isdisjoint(closed) and entering <= D):
-            return False
-        closed |= C
-        interior |= L
-    return D == (T_words & X_words)
+    return S.tower_union(l - 1).words_on(window).isdisjoint(
+        set().union(*rows[l]))

@@ -80,12 +80,18 @@ def rudin():
 def pd101_defects(pd):
     """Hand-built tower systems on the period-doubling cylinder 101, whose
     true heights are (2, 6, 14), each with one planted defect: the top
-    height one short, the middle height one long, the top tower dropped."""
+    height one short, the middle height one long, the top tower dropped,
+    and the middle base grown by the points ``A`` of the bottom base whose
+    orbit lands in the top tower's interior base after ``r_0`` steps, so
+    that an interior level of the top tower meets the lower towers' union."""
     S = build_towers(pd.cylinder(Window(0, 2), "101"), "full")
 
     def make(bases, heights):
         return RokhlinSystem(pd, "full", S.Y, bases, heights)
 
+    A = S.bases[0] & S.interiors[2].shift(-S.heights[0])
     return {"short-top": make(S.bases, (2, 6, 13)),
             "tall-middle": make(S.bases, (2, 7, 14)),
-            "no-top": make(S.bases[:2], S.heights[:2])}
+            "no-top": make(S.bases[:2], S.heights[:2]),
+            "stray-boundary": make((S.bases[0], S.bases[1] | A, S.bases[2]),
+                                   S.heights)}

@@ -1,8 +1,12 @@
 """The error surfaces promised by each operation's contract."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rokhlin
 from rokhlin.crossed import CylinderFunction, FormalElement, gamma_eval
 from rokhlin.cuntz import PositiveElement, cuntz_leq, rc_witness_test
 from rokhlin.errors import (
@@ -136,3 +140,12 @@ class TestClopenSetValidation:
         x = PointWindow(pd, Window(0, 2), "010")
         with pytest.raises(ValueError):
             gamma_eval(FormalElement.unit(pd), 0, pd_full.bases[0], x, pd_y)
+
+
+def test_package_has_no_assert_statements():
+    # ``python -O`` strips ``assert``; invariants raise InvariantViolated
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(rokhlin.__file__).parent.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not found, found

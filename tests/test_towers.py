@@ -261,6 +261,14 @@ class TestStoredData:
         with pytest.raises(IndexError):
             pd_full.level(1, -1)
 
+    @pytest.mark.parametrize(
+        "heights", [(0, 6, 14), (2, 0, 14), (2, 6, -1), (-3, 6, 14)],
+        ids=["zero-bottom", "zero-middle", "negative-top", "negative-bottom"])
+    def test_heights_below_one_rejected(self, pd101_defects, heights):
+        S = pd101_defects["short-top"]
+        with pytest.raises(ValueError):
+            RokhlinSystem(S.system, S.variant, S.Y, S.bases, heights)
+
     def test_paths_are_built_once(self, rudin):
         for l in range(rudin.m + 1):
             assert admissible_sequences(rudin, l) is \
@@ -282,6 +290,9 @@ class TestNegativeControls:
                     "tops-partition-Y", "forward-union-partition",
                     "backward-union-partition", "orbit-of-Y-covers-X",
                     "complement-partition"}, []),
+        # the one defect the identities miss; at level 2 the path cover and
+        # the tiling hold, and only the interior levels meeting X_1 fail it
+        "stray-boundary": (set(), [1, 2]),
     }
 
     @pytest.mark.parametrize("name", sorted(EXPECTED))
@@ -296,17 +307,19 @@ class TestNegativeControls:
 
 def _hand_built_variants(S):
     """``S`` with each height moved by one either way, and with each base
-    dropped."""
+    dropped, as far as every height stays at least 1 and a base is left."""
     out = []
     for i in range(S.m + 1):
         for step in (-1, 1):
             heights = list(S.heights)
             heights[i] += step
-            out.append(RokhlinSystem(S.system, S.variant, S.Y, S.bases,
-                                     heights))
-        out.append(RokhlinSystem(S.system, S.variant, S.Y,
-                                 S.bases[:i] + S.bases[i + 1:],
-                                 S.heights[:i] + S.heights[i + 1:]))
+            if heights[i] >= 1:
+                out.append(RokhlinSystem(S.system, S.variant, S.Y, S.bases,
+                                         heights))
+        if S.m > 0:
+            out.append(RokhlinSystem(S.system, S.variant, S.Y,
+                                     S.bases[:i] + S.bases[i + 1:],
+                                     S.heights[:i] + S.heights[i + 1:]))
     return out
 
 
@@ -380,3 +393,25 @@ class TestSmallSubstitutionSweep:
         assert checks == oracles
         identities, levels = checks
         assert all(identities.values()) and all(levels), identities
+
+    # half the budget of the sweep above: each draw checks up to 3 (m + 1)
+    # hand-built systems against the pairwise oracles, and a variant with
+    # two towers of height 1 under a tall one has millions of paths (heights
+    # (1, 1, 5, 8, 11, 15, 22): 7.3 million), so the cost of this test
+    # depends on what is drawn
+    @settings(max_examples=20, deadline=None, derandomize=True,
+              database=None)
+    @given(_small_substitutions())
+    def test_broken_variants_match_oracles(self, drawn):
+        rules, length, pick, variant = drawn
+        try:
+            system = SubstitutionSystem(sorted(rules), rules)
+            words = sorted(system.language(length))
+            Y = system.cylinder(Window(0, length - 1),
+                                words[pick % len(words)])
+            S = build_towers(Y, variant)
+        except (NonPrimitive, PeriodicSystem, BoundSearchExceeded):
+            assume(False)
+        for broken in _hand_built_variants(S):
+            checks, oracles = _check_verdicts(broken)
+            assert checks == oracles, broken
