@@ -103,12 +103,12 @@ def load_config(args) -> RunConfig:
                 f"{DEPTH_ENV} must be an integer, got {depth_env!r}") from None
     try:
         system = SubstitutionSystem.from_config(sys_cfg)
-    except (KeyError, TypeError, ValueError, RokhlinError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError, RokhlinError) as e:
         raise ConfigError(f"bad system config: {e}")
     y_spec = args.y if getattr(args, "y", None) else raw.get("y")
     try:
         Y = _parse_y_spec(system, y_spec)
-    except (ValueError, KeyError, TypeError, RokhlinError) as e:
+    except (ValueError, KeyError, TypeError, OverflowError, RokhlinError) as e:
         raise ConfigError(f"bad base-set spec: {e}")
     if Y.is_empty():
         raise ConfigError("the base set is empty")
@@ -123,8 +123,10 @@ def load_config(args) -> RunConfig:
     try:
         seed = args.seed if getattr(args, "seed", None) is not None \
             else int(raw.get("seed", 0))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"seed must be an integer, got {raw['seed']!r}") from None
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     out = getattr(args, "out", None) or raw.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"out must be a file path, got {out!r}")
@@ -450,7 +452,7 @@ def cmd_eval(args) -> int:
         with open(args.element) as fh:
             element = FormalElement.from_json(cfg.system, json.load(fh))
     except (OSError, json.JSONDecodeError, AttributeError, KeyError,
-            TypeError, ValueError) as e:
+            TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"cannot read element: {e}")
     N = args.n
     if N < 1:
@@ -475,6 +477,9 @@ def cmd_rc_bound(args) -> int:
     cfg = load_config(args)
     if args.dim is None or args.dim < 0:
         raise ConfigError("--dim must be a nonnegative integer")
+    if args.mdim is not None and not (np.isfinite(args.mdim)
+                                      and args.mdim >= 0):
+        raise ConfigError("--mdim must be finite and nonnegative")
     try:
         lo, hi = args.window.split(":", 1)
         window = Window(int(lo), int(hi))
@@ -489,8 +494,6 @@ def cmd_rc_bound(args) -> int:
           f"(separation {'verified' if report.separation_verified else 'not verified'})")
     out = report.to_json()
     if args.mdim is not None:
-        if args.mdim < 0:
-            raise ConfigError("--mdim must be nonnegative")
         value, d = cuntz.headline_bound(args.mdim)
         print(f"headline: 1 + 36*mdim = {value:.6f}; least admissible integer "
               f"dimension {d}")

@@ -239,8 +239,8 @@ def rc_upper_bound(S: RokhlinSystem, window: Window,
 
 def headline_bound(mdim: float):
     """The pair ``(1 + 36 * mdim, least integer above 36 * mdim)``."""
-    if mdim < 0:
-        raise ValueError("mean dimension must be nonnegative")
+    if not (np.isfinite(mdim) and mdim >= 0):
+        raise ValueError("mean dimension must be finite and nonnegative")
     value = 1.0 + 36.0 * mdim
     d = int(np.floor(36.0 * mdim)) + 1
     return value, d

@@ -144,8 +144,6 @@ def stage_violations(S: RokhlinSystem, b: StageElement):
     for l in range(1, b.level + 1):
         comp = b.components[l]
         for path in admissible_sequences(S, l):
-            if path.path_set.is_empty():
-                continue
             window = _path_eval_window(path, b, comp.window)
             words = sorted(path.path_set.words_on(window))
             top = np.stack([comp.value(w, window) for w in words])
@@ -188,7 +186,7 @@ def beta_boundary(S: RokhlinSystem, l: int,
             "components below the boundary level violate their own gluing",
             violation=violations[0])
     D = S.boundaries[l]
-    paths = [p for p in admissible_sequences(S, l) if not p.path_set.is_empty()]
+    paths = admissible_sequences(S, l)
     window = D.window
     for path in paths:
         window = _path_eval_window(path, b, window)
@@ -289,8 +287,6 @@ def _repair_gluing(S: RokhlinSystem, components):
         staged = StageElement(tuple(out))
         values = dict(comp.values_on(window))
         for path in admissible_sequences(S, l):
-            if path.path_set.is_empty():
-                continue
             words = list(path.path_set.words_on(window))
             values.update(zip(words, _glued_stack(path, staged, words, window)))
         out.append(MatrixCylinderFunction(comp.base, window, comp.size, values))
@@ -439,9 +435,9 @@ class ApproximatingSystem:
     """Projections of the tower bases onto ``[n1, n2 + r_l]``.
 
     ``spaces[l]`` is the word set of the ``l``-th projected base over
-    ``proj_windows[l]``; ``path_images[(l, mu)]`` the projection of the path
-    set.  ``checks`` records the exact verification of the
-    projection/path/diagram conditions.
+    ``proj_windows[l]``; ``path_images[(l, mu)]`` the projection of the set
+    of a realized path, so never empty.  ``checks`` records the exact
+    verification of the projection/path/diagram conditions.
     """
 
     S: RokhlinSystem
@@ -517,12 +513,10 @@ def build_approximating_system(S: RokhlinSystem,
     for l in range(1, S.m + 1):
         for path in admissible_sequences(S, l):
             mu = path.mu
-            image = path.path_set.words_on(proj_windows[l]) \
-                if not path.path_set.is_empty() else frozenset()
+            image = path.path_set.words_on(proj_windows[l])
             path_images[(l, mu)] = image
-            preimage = ClopenSet(system, proj_windows[l], image) & S.bases[l] \
-                if image else system.empty_set()
-            if not (preimage == path.path_set):
+            if ClopenSet(system, proj_windows[l], image) & S.bases[l] \
+                    != path.path_set:
                 paths_ok = False
             for idx, off in zip(mu, path.offsets):
                 width = window.length + S.heights[idx]

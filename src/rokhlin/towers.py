@@ -7,8 +7,8 @@ levels ``h^j(T_l^0)`` tile the space.  Two constructions are provided: the
 ``full`` variant takes ``T_l = Y \\cap h^{-r_l}(Y)``.  Both share the same
 interiors ``T_l^0`` and the same heights.
 ``RokhlinSystem`` derives its levels and tower unions ``X_l`` once, and
-``admissible_sequences`` keeps each tower's paths on it; ``Y_n`` comes from
-``ClopenSet.translates``.
+``admissible_sequences`` keeps each tower's realized paths on it; ``Y_n``
+comes from ``ClopenSet.translates``.
 """
 
 from __future__ import annotations
@@ -283,7 +283,8 @@ def partition_identities(S: RokhlinSystem) -> PartitionReport:
 @dataclass(frozen=True)
 class AdmissiblePath:
     """An ordered composition of a height into lower heights, with the clopen
-    set of boundary points that traverse exactly that sequence of towers.
+    set of boundary points that traverse exactly that sequence of towers;
+    only realized paths are built, so the set is never empty.
 
     ``offsets[s]`` is the sum of the heights before block ``s``: the orbit
     step at which the path enters tower ``mu[s]`` and the row where that
@@ -299,14 +300,14 @@ class AdmissiblePath:
 
 
 def admissible_sequences(S: RokhlinSystem, l: int) -> list:
-    """All paths for tower ``l``, in lexicographic order of the index sequence.
+    """The realized paths for tower ``l``, in lexicographic order of ``mu``.
 
     A path ``mu`` is a sequence over ``{0 .. l-1}`` whose heights sum to
     ``r_l``; its set is ``T_l`` intersected with the pulled-back bases along
-    the partial sums.  Many path sets are legitimately empty.
-    Each set is its prefix's set cut by one more base, and an empty prefix
-    is not cut further.  As heights are at least 1, no path is a prefix of
-    another, so the depth-first walk below is already in lexicographic order.
+    the partial sums.  A composition that no point follows has an empty set
+    and is left out: each set is its prefix's set cut by one more base, so
+    the walk stops at the first empty prefix.  As heights are at least 1, no
+    path is a prefix of another, so the depth-first walk is lexicographic.
     Built on the first call and kept on ``S``: later calls return the same
     list, which no caller mutates.
     """
@@ -318,6 +319,8 @@ def admissible_sequences(S: RokhlinSystem, l: int) -> list:
     out = []
 
     def extend(mu, offsets, piece, total):
+        if piece.is_empty():
+            return
         if total == target:
             out.append(AdmissiblePath(l=l, mu=mu, path_set=piece,
                                       offsets=offsets))
@@ -325,8 +328,7 @@ def admissible_sequences(S: RokhlinSystem, l: int) -> list:
         for i in range(l):
             if total + S.heights[i] <= target:
                 extend(mu + (i,), offsets + (total,),
-                       piece if piece.is_empty()
-                       else piece & S.bases[i].shift(-total),
+                       piece & S.bases[i].shift(-total),
                        total + S.heights[i])
 
     extend((), (), S.bases[l], 0)

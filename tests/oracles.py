@@ -181,6 +181,28 @@ def partition_identities_oracle(S) -> dict:
     }
 
 
+def admissible_sequences_oracle(S, l: int) -> list:
+    """Every composition ``mu`` of the height ``r_l`` into heights of towers
+    below ``l``, in lexicographic order, as ``(mu, offsets, path_set)``.
+
+    Each set is ``T_l \\cap \\bigcap_s h^{-offsets[s]}(T_{mu[s]})``, computed
+    from the bases alone; empty sets are listed too."""
+    target = S.heights[l]
+    heights = S.heights[:l]
+    longest = target // min(heights) if heights else 0
+    out = []
+    for n in range(1, longest + 1):
+        for mu in product(range(l), repeat=n):
+            if sum(heights[i] for i in mu) != target:
+                continue
+            offsets = tuple(sum(heights[i] for i in mu[:s]) for s in range(n))
+            path_set = S.bases[l]
+            for i, off in zip(mu, offsets):
+                path_set = path_set & S.bases[i].shift(-off)
+            out.append((mu, offsets, path_set))
+    return sorted(out, key=lambda entry: entry[0])
+
+
 def boundary_path_cover_oracle(S, l: int, paths) -> bool:
     """The structural checks of level ``l`` over every ordered pair of the
     levels of tower ``l``; ``paths`` are the admissible paths of that level."""

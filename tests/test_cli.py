@@ -1,10 +1,13 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rokhlin
 from rokhlin import cli, rsh
@@ -79,6 +82,14 @@ class TestTowersCommand:
         '"checks": [5]}',
         '{"alphabet": ["0", "1"], "rules": {"0": "01", "1": "0"}, '
         '"out": 5}',
+        '{"alphabet": ["0", "1"], "rules": {"0": "01", "1": "0"}, '
+        '"depth": 1e400}',
+        '{"alphabet": ["0", "1"], "rules": {"0": "01", "1": "0"}, '
+        '"seed": 1e400}',
+        '{"alphabet": ["0", "1"], "rules": {"0": "01", "1": "0"}, '
+        '"y": {"window": [0, 1e400], "words": ["0"]}}',
+        '{"alphabet": ["0", "1"], "rules": {"0": "01", "1": "0"}, '
+        '"seed": -1}',
     ])
     def test_malformed_config_exit_two(self, text, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -92,6 +103,31 @@ class TestTowersCommand:
                  "--out", str(out))
         assert rc == 2
         assert_one_line_error(capsys)
+
+
+# JSON text spliced in for one field of a sound config
+MALFORMED_VALUES = ["null", "true", "-1", str(2**70), "1e400", "NaN", '"x"',
+                    "[]", "{}"]
+
+
+class TestMalformedConfigSweep:
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from(["depth", "seed", "y", "variant", "checks"]),
+           st.sampled_from(MALFORMED_VALUES))
+    def test_exit_code_contract(self, tmp_path_factory, field, value):
+        cfg = json.loads((CONFIGS / "period_doubling.json").read_text())
+        (cfg["system"] if field == "depth" else cfg)[field] = "@VALUE@"
+        path = tmp_path_factory.mktemp("sweep") / "cfg.json"
+        path.write_text(json.dumps(cfg).replace('"@VALUE@"', value))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            rc = run("towers", "--config", str(path))
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            err = err.getvalue()
+            assert err.startswith("config error:"), err
+            assert err.count("\n") == 1, err
 
 
 class TestVerifyCommand:
@@ -227,6 +263,13 @@ print(cli.CHECKS["stage-membership"]({"S": S, "seed": 0}).detail)
                  "--checks", "axioms,nonsense")
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["verify", "decompose"])
+    def test_negative_seed_exit_two(self, command, capsys):
+        rc = run(command, "--config", str(CONFIGS / "period_doubling.json"),
+                 "--seed", "-1")
+        assert rc == 2
+        assert_one_line_error(capsys)
+
 
 class TestDecomposeCommand:
     def test_period_doubling_decomposition(self, tmp_path, capsys):
@@ -303,10 +346,17 @@ class TestEvalCommand:
                     "values": {"0": [float("nan"), 0.0], "1": [1.0, 0.0]}}]},
         {"terms": [{"n": 1, "window": [0, 0],
                     "values": {"0": [0.0, float("inf")], "1": [1.0, 0.0]}}]},
+        '{"terms": [{"n": 1e400, "window": [0, 0], '
+        '"values": {"0": [0.0, 0.0], "1": [1.0, 0.0]}}]}',
+        '{"terms": [{"n": 1, "window": [0, 1e400], '
+        '"values": {"0": [0.0, 0.0], "1": [1.0, 0.0]}}]}',
     ])
     def test_malformed_element_exit_two(self, element, tmp_path, capsys):
+        # a string is written as it stands, so it can hold JSON numbers
+        # that overflow a float
         elem = tmp_path / "elem.json"
-        elem.write_text(json.dumps(element))
+        elem.write_text(element if isinstance(element, str)
+                        else json.dumps(element))
         rc = run("eval", "--config", str(CONFIGS / "period_doubling.json"),
                  "--element", str(elem), "--n", "2", "--x", "0:0100")
         assert rc == 2
@@ -353,6 +403,13 @@ class TestRcBoundCommand:
         rc = run("rc-bound", "--config", str(CONFIGS / "period_doubling.json"),
                  "--window", "junk", "--dim", "1")
         assert rc == 2
+
+    @pytest.mark.parametrize("mdim", ["nan", "inf"])
+    def test_non_finite_mdim_exit_two(self, mdim, capsys):
+        rc = run("rc-bound", "--config", str(CONFIGS / "period_doubling.json"),
+                 "--window", "0:0", "--dim", "2", "--mdim", mdim)
+        assert rc == 2
+        assert_one_line_error(capsys)
 
 
 class TestDepthEnv:

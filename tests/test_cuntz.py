@@ -223,6 +223,11 @@ class TestHeadline:
         assert headline_bound(1) == (37.0, 37)
         assert headline_bound(0.5) == (19.0, 19)
 
+    @pytest.mark.parametrize("mdim", [-1.0, float("nan"), float("inf")])
+    def test_negative_or_non_finite_rejected(self, mdim):
+        with pytest.raises(ValueError):
+            headline_bound(mdim)
+
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(st.floats(min_value=0.0, max_value=50.0,
                      allow_nan=False, allow_infinity=False))

@@ -166,8 +166,7 @@ class TestBetaBoundary:
         # order, least word first, is the one a word-by-word replay finds
         b = _broken_rudin(rudin)
         l = 3
-        paths = [p for p in admissible_sequences(rudin, l)
-                 if not p.path_set.is_empty()]
+        paths = admissible_sequences(rudin, l)
         window = rudin.boundaries[l].window
         for path in paths:
             window = rsh._path_eval_window(path, b, window)

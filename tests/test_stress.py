@@ -1,9 +1,10 @@
 """Harder configurations than the reference trio.
 
 The length-three cylinder 101 in the period-doubling subshift has return
-times (2, 6, 14), so the top tower glues along nine distinct admissible
-paths.  The four-letter system below it produces five towers with
-overlapping path sets, so boundary well-definedness is nonvacuous.
+times (2, 6, 14): 14 has nine compositions into 2s and 6s, and the top
+tower glues along the one that boundary points follow, (1, 0, 1).  The
+four-letter system below it produces five towers with overlapping path
+sets, so boundary well-definedness is nonvacuous.
 Everything downstream (partitions, stage algebra, lifting, projections)
 must stay exact at these sizes.
 """
@@ -11,6 +12,7 @@ must stay exact at these sizes.
 import numpy as np
 import pytest
 
+from oracles import admissible_sequences_oracle
 from rokhlin.crossed import sample_subalgebra_element
 from rokhlin.rsh import (
     build_approximating_system,
@@ -48,8 +50,7 @@ class TestRudinShapiroTowers:
             assert boundary_path_cover(rudin, l)
 
     def test_overlapping_paths_exist(self, rudin):
-        paths = [p for p in admissible_sequences(rudin, 2)
-                 if not p.path_set.is_empty()]
+        paths = admissible_sequences(rudin, 2)
         overlaps = [(p.mu, q.mu) for i, p in enumerate(paths)
                     for q in paths[i + 1:]
                     if not (p.path_set & q.path_set).is_empty()]
@@ -143,11 +144,13 @@ class TestDeepTowers:
         assert partition_identities(deep).passed
 
     def test_path_structure(self, deep):
-        paths = admissible_sequences(deep, 2)
+        compositions = admissible_sequences_oracle(deep, 2)
         # compositions of 14 from {2, 6}: seven 2s, one 6 among five parts,
         # or two 6s among three parts
-        assert len(paths) == 1 + 5 + 3
-        assert all(sum(deep.heights[i] for i in p.mu) == 14 for p in paths)
+        assert len(compositions) == 1 + 5 + 3
+        assert all(sum(deep.heights[i] for i in mu) == 14
+                   for mu, _, _ in compositions)
+        assert [p.mu for p in admissible_sequences(deep, 2)] == [(1, 0, 1)]
         for l in range(deep.m + 1):
             assert boundary_path_cover(deep, l)
 

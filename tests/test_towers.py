@@ -2,6 +2,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
+    admissible_sequences_oracle,
     boundary_path_cover_oracle,
     gap_oracle,
     partition_identities_oracle,
@@ -215,7 +216,11 @@ class TestPaths:
         paths = admissible_sequences(tm_full, 2)
         mus = [p.mu for p in paths]
         assert mus == sorted(mus)
-        assert (0, 0, 0) in mus and (0, 1) in mus and (1, 0) in mus
+        assert (0, 1) in mus and (1, 0) in mus
+        # (0, 0, 0) composes the height but no point follows it
+        compositions = {mu: path_set for mu, _, path_set
+                        in admissible_sequences_oracle(tm_full, 2)}
+        assert compositions[(0, 0, 0)].is_empty()
         for p in paths:
             assert sum(tm_full.heights[i] for i in p.mu) == tm_full.heights[2]
             assert p.path_set.issubset(tm_full.boundaries[2])
@@ -230,6 +235,12 @@ class TestPaths:
     def test_period_doubling_boundary_is_single_path(self, pd_full):
         paths = admissible_sequences(pd_full, 1)
         assert paths[0].path_set == pd_full.boundaries[1]
+
+    def test_unrealized_heights_give_no_paths(self, pd):
+        # 10,946 compositions of 20 into 1s and 2s, none followed by a point
+        S = build_towers(pd.cylinder(Window(0, 2), "101"), "full")
+        S = RokhlinSystem(S.system, S.variant, S.Y, S.bases, (1, 2, 20))
+        assert admissible_sequences(S, 2) == []
 
 
 def _explicit_union(sets, system):
@@ -351,6 +362,15 @@ class TestChecksMatchPairwiseOracles:
             assert S.heights == heights
             out += _hand_built_variants(S)
         return out
+
+    def test_paths_match_oracle(self, systems):
+        for S in systems:
+            for l in range(S.m + 1):
+                got = [(p.mu, p.offsets, p.path_set)
+                       for p in admissible_sequences(S, l)]
+                want = [entry for entry in admissible_sequences_oracle(S, l)
+                        if not entry[2].is_empty()]
+                assert got == want, (S, l)
 
     def test_verdicts_match(self, systems):
         failing = 0
