@@ -37,7 +37,7 @@ MATRIX_TOL = 1e-10
 class CylinderFunction:
     """A complex-valued function depending on finitely many coordinates."""
 
-    __slots__ = ("system", "window", "values")
+    __slots__ = ("system", "window", "values", "_column")
 
     def __init__(self, system: SubstitutionSystem, window: Window, values):
         language = system.language(window.length)
@@ -46,7 +46,9 @@ class CylinderFunction:
             raise ValueError(f"values on inadmissible words: {sorted(bad)[:4]}")
         self.system = system
         self.window = window
-        self.values = {w: complex(values.get(w, 0.0)) for w in language}
+        self.values = dict.fromkeys(language, 0j)
+        for w, v in values.items():
+            self.values[w] = complex(v)
 
     @classmethod
     def constant(cls, system: SubstitutionSystem, value: complex) -> "CylinderFunction":
@@ -66,6 +68,18 @@ class CylinderFunction:
 
     def value_at(self, p: PointWindow) -> complex:
         return self.value(p.word, p.window)
+
+    def column(self) -> np.ndarray:
+        """The values in ``lexicon(self.window.length)`` order, as a complex
+        array; built on the first call and kept, as no routine changes a
+        function's table after construction."""
+        try:
+            return self._column
+        except AttributeError:
+            words = self.system.lexicon(self.window.length)[0]
+            self._column = np.array([self.values[w] for w in words],
+                                    dtype=complex)
+            return self._column
 
     def values_on(self, window: Window) -> dict:
         if window == self.window:
@@ -120,11 +134,14 @@ class CylinderFunction:
         return max((abs(v) for v in self.values.values()), default=0.0)
 
     def vanishes_on(self, C: ClopenSet) -> bool:
+        """Whether the function is zero at every point of ``C``: its value
+        is read at the slice of each word of ``C`` on the common window."""
         if C.is_empty():
             return True
         w = self.window.hull(C.window)
-        table = self.values_on(w)
-        return all(table[word] == 0 for word in C.words_on(w))
+        plan = self.system.restriction(w.length, self.window.lo - w.lo,
+                                       self.window.length)
+        return not self.column()[plan[C.indices_on(w)]].any()
 
     def support_set(self) -> ClopenSet:
         return ClopenSet(self.system, self.window,
@@ -300,27 +317,27 @@ def gamma_eval(a: FormalElement, N: int, Z: ClopenSet, x: PointWindow,
 
 
 def gamma_component(a: FormalElement, S: RokhlinSystem, i: int) -> MatrixCylinderFunction:
-    """The evaluation of ``a`` over the ``i``-th tower base, as exact data."""
+    """The evaluation of ``a`` over the ``i``-th tower base, as exact data.
+
+    Entry ``(j, j - n)`` at a base word is ``a_n`` read at the word's slice
+    for ``h^j``.  Each entry is filled as one column over every base word of
+    a ``(words, r, r)`` array; values are copied, never computed.
+    """
     r = S.heights[i]
     T = S.bases[i]
     window = T.window
-    for n, f in a.terms.items():
-        if abs(n) >= r:
-            continue
+    terms = [(n, f) for n, f in a.terms.items() if abs(n) < r]
+    for n, f in terms:
         for j in _entry_ranges(n, r):
             window = window.hull(f.window.shift(j))
-    values = {}
-    for w in T.words_on(window):
-        M = np.zeros((r, r), dtype=complex)
-        for n, f in a.terms.items():
-            if abs(n) >= r:
-                continue
-            span = f.window.length
-            for j in _entry_ranges(n, r):
-                off = f.window.lo + j - window.lo
-                M[j, j - n] = f.values[w[off : off + span]]
-        values[w] = M
-    return MatrixCylinderFunction(T, window, r, values)
+    words = T.system.lexicon(window.length)[0][T.indices_on(window)].tolist()
+    out = np.zeros((len(words), r, r), dtype=complex)
+    for n, f in terms:
+        span = f.window.length
+        for j in _entry_ranges(n, r):
+            off = f.window.lo + j - window.lo
+            out[:, j, j - n] = [f.values[w[off : off + span]] for w in words]
+    return MatrixCylinderFunction(T, window, r, dict(zip(words, out)))
 
 
 def gamma_symbolic(a: FormalElement, S: RokhlinSystem) -> list:
@@ -338,10 +355,20 @@ def gamma_symbolic(a: FormalElement, S: RokhlinSystem) -> list:
 # -- randomized checks -----------------------------------------------------------
 
 
-def _unit_disc(rng) -> complex:
-    radius = np.sqrt(rng.uniform())
-    angle = rng.uniform(0.0, 2.0 * np.pi)
-    return radius * complex(np.cos(angle), np.sin(angle))
+def _unit_disc(rng, count: int) -> np.ndarray:
+    """``count`` random points of the complex unit disc, uniform by area.
+
+    Point ``k`` takes radius ``sqrt(u[k, 0])`` and angle ``2 pi u[k, 1]`` from
+    one ``rng.random((count, 2))`` draw: the same values, in the same order,
+    as drawing ``rng.uniform()`` and ``rng.uniform(0, 2 pi)`` per point.
+    """
+    u = rng.random((count, 2))
+    radius = np.sqrt(u[:, 0])
+    angle = 2.0 * np.pi * u[:, 1]
+    out = np.empty(count, dtype=complex)
+    out.real = radius * np.cos(angle)
+    out.imag = radius * np.sin(angle)
+    return out
 
 
 def sample_subalgebra_element(system: SubstitutionSystem, Y: ClopenSet, rng,
@@ -366,7 +393,8 @@ def sample_subalgebra_element(system: SubstitutionSystem, Y: ClopenSet, rng,
         length = int(rng.choice(window_lengths))
         lo = int(rng.integers(lo_range[0], lo_range[1] + 1))
         window = Window(lo, lo + length - 1)
-        values = {w: _unit_disc(rng) for w in sorted(system.language(length))}
+        words = system.lexicon(length)[0]
+        values = dict(zip(words, _unit_disc(rng, len(words)).tolist()))
         terms[n] = CylinderFunction(system, window, values)
     return project_to_subalgebra(FormalElement(system, terms), Y)
 

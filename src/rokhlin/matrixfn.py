@@ -83,6 +83,22 @@ class MatrixCylinderFunction:
             raise PathMismatch(
                 f"word {key!r} is not in the base set") from None
 
+    def stack(self, words, window: Window) -> np.ndarray:
+        """Values at the points whose words on ``window`` are ``words``,
+        stacked in that order as one ``(len(words), size, size)`` array."""
+        if not window.contains(self.window):
+            raise WindowTooSmall(f"{window} does not cover {self.window}")
+        off = self.window.lo - window.lo
+        keys = [w[off : off + self.window.length] for w in words]
+        try:
+            blocks = [self.values[key] for key in keys]
+        except KeyError:
+            key = next(key for key in keys if key not in self.values)
+            raise PathMismatch(
+                f"word {key!r} is not in the base set") from None
+        return np.array(blocks, dtype=complex).reshape(
+            len(keys), self.size, self.size)
+
     def value_at(self, p: PointWindow) -> np.ndarray:
         return self.value(p.word, p.window)
 

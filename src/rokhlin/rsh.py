@@ -96,10 +96,9 @@ def _glued_stack(path: AdmissiblePath, b: StageElement, words,
     out = np.zeros((len(words), size, size), dtype=complex)
     pos = 0
     for comp, off in zip(comps, path.offsets):
-        shifted = window.shift(-off)
         k = comp.size
-        for row, w in zip(out, words):
-            row[pos : pos + k, pos : pos + k] = comp.value(w, shifted)
+        out[:, pos : pos + k, pos : pos + k] = comp.stack(words,
+                                                          window.shift(-off))
         pos += k
     return out
 
@@ -146,7 +145,7 @@ def stage_violations(S: RokhlinSystem, b: StageElement):
         for path in admissible_sequences(S, l):
             window = _path_eval_window(path, b, comp.window)
             words = sorted(path.path_set.words_on(window))
-            top = np.stack([comp.value(w, window) for w in words])
+            top = comp.stack(words, window)
             ok = np.isclose(top, _glued_stack(path, b, words, window),
                             rtol=0.0, atol=STAGE_TOL).all(axis=(1, 2))
             violations += [(l, path.mu, w) for w, good in zip(words, ok)
@@ -220,6 +219,29 @@ def beta_boundary(S: RokhlinSystem, l: int,
 # -- constructive lifting ------------------------------------------------------------
 
 
+def _level_plan(S: RokhlinSystem, level: int, window: Window) -> tuple:
+    """``(l, j, words)`` for every interior level ``h^j(T_l^0)`` of towers
+    ``0 .. level``, its words on ``window`` sorted.  Built on the first call
+    per ``(level, window)`` and kept on ``S``; building it raises
+    ``InvariantViolated`` when two levels share a word."""
+    key = (level, window)
+    plan = S._level_plans.get(key)
+    if plan is None:
+        owner = {}
+        plan = []
+        for l in range(level + 1):
+            for j, L in enumerate(S.levels[l]):
+                words = sorted(L.words_on(window))
+                for w in words:
+                    if w in owner:
+                        raise InvariantViolated(
+                            f"levels {owner[w]} and {(l, j)} overlap at {w!r}")
+                    owner[w] = (l, j)
+                plan.append((l, j, tuple(words)))
+        plan = S._level_plans[key] = tuple(plan)
+    return plan
+
+
 def lift(S: RokhlinSystem, b: StageElement) -> FormalElement:
     """A series in the orbit-breaking subalgebra whose evaluation is ``b``.
 
@@ -231,6 +253,10 @@ def lift(S: RokhlinSystem, b: StageElement) -> FormalElement:
     that word, and degree ``-n`` (``1 <= n <= j``) takes ``M[j - n, j]`` on the
     window shifted by ``n``; every other word gets zero.  The boundaries
     ``D_l`` are never read, so a lift carries the glued values there.
+
+    Which word lies on which level is the system's level plan for this
+    stage level and window, built once; the matrices of a level are then
+    stacked, and row ``j`` and column ``j`` of each are read as two lists.
     """
     violations = checked_violations(S, b)
     if violations:
@@ -241,25 +267,22 @@ def lift(S: RokhlinSystem, b: StageElement) -> FormalElement:
     system = S.system
     window = S.levels[0][0].window
     for l, comp in enumerate(b.components):
-        for j, L in enumerate(S.levels[l]):
-            window = window.hull(L.window).hull(comp.window.shift(-j))
-    level_of = {}
-    for l in range(b.level + 1):
-        for j, L in enumerate(S.levels[l]):
-            for w in sorted(L.words_on(window)):
-                if w in level_of:
-                    raise InvariantViolated(
-                        f"levels {level_of[w]} and {(l, j)} overlap at {w!r}")
-                level_of[w] = (l, j)
-
+        for L in S.levels[l]:
+            window = window.hull(L.window)
+        window = window.hull(Window(comp.window.lo - S.heights[l] + 1,
+                                    comp.window.hi))
     tables: dict = {}
-    for w, (l, j) in level_of.items():
-        M = b.components[l].value(w, window.shift(j))
-        for n in range(j + 1):
-            if M[j, j - n] != 0:
-                tables.setdefault(n, {})[w] = M[j, j - n]
-            if n and M[j - n, j] != 0:
-                tables.setdefault(-n, {})[w] = M[j - n, j]
+    for l, j, words in _level_plan(S, b.level, window):
+        blocks = b.components[l].stack(words, window.shift(j))
+        # rows[k][n] is M[j, j - n] and columns[k][n] is M[j - n, j].
+        rows = blocks[:, j, j::-1].tolist()
+        columns = blocks[:, j::-1, j].tolist()
+        for w, row, column in zip(words, rows, columns):
+            for n in range(j + 1):
+                if row[n] != 0:
+                    tables.setdefault(n, {})[w] = row[n]
+                if n and column[n] != 0:
+                    tables.setdefault(-n, {})[w] = column[n]
     a = FormalElement(system, {
         n: CylinderFunction(system, window.shift(max(0, -n)), values)
         for n, values in tables.items()})
@@ -299,12 +322,10 @@ def sample_stage_element(S: RokhlinSystem, rng) -> StageElement:
     components = []
     for i in range(S.m + 1):
         r = S.heights[i]
-        values = {}
-        for w in sorted(S.bases[i].words_on(windows[i])):
-            M = np.array([[_unit_disc(rng) for _ in range(r)] for _ in range(r)])
-            values[w] = M
+        words = sorted(S.bases[i].words_on(windows[i]))
+        tables = _unit_disc(rng, len(words) * r * r).reshape(len(words), r, r)
         components.append(MatrixCylinderFunction(
-            S.bases[i], windows[i], r, values))
+            S.bases[i], windows[i], r, dict(zip(words, tables))))
     return _repair_gluing(S, components)
 
 

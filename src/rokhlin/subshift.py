@@ -15,6 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NonPrimitive, PeriodicSystem, WindowTooSmall
 
 DEFAULT_DEPTH = 64
@@ -75,7 +77,14 @@ class SubstitutionSystem:
     ``language(L)`` is exact: admissible two-letter words are computed as a
     certified fixed point, and length-``L`` factors are collected from images
     of two-letter words under a power of the substitution whose letter images
-    all have length at least ``L``.
+    all have length at least ``L``.  When ``language(L + 1)`` is known,
+    ``language(L)`` is its set of prefixes: in a minimal subshift every word
+    extends to the right.
+
+    Languages are interned on first use (``lexicon``: the sorted words and
+    their indices), and so are restriction plans (``restriction``: where
+    each long word's slice sits in a shorter language); both are kept for
+    the system's lifetime.
     """
 
     def __init__(self, alphabet, rules, depth: int = DEFAULT_DEPTH):
@@ -103,6 +112,8 @@ class SubstitutionSystem:
         self._tau_cache = {a: self._tau_letter(a) for a in self.alphabet}
         self._two_words = None
         self._language_cache: dict[int, frozenset[str]] = {}
+        self._lexicons: dict = {}
+        self._restrictions: dict = {}
         self._check_aperiodic()
 
     # -- substitution plumbing -------------------------------------------
@@ -169,15 +180,18 @@ class SubstitutionSystem:
         cached = self._language_cache.get(length)
         if cached is not None:
             return cached
-        two = self._admissible_two_words()
-        if length == 1:
-            result = frozenset({a for w in two for a in w})
+        longer = self._language_cache.get(length + 1)
+        if longer is not None:
+            result = frozenset({w[:length] for w in longer})
+        elif length == 1:
+            result = frozenset({a for w in self._admissible_two_words()
+                                for a in w})
         else:
             images = {a: a for a in self.alphabet}
             while min(len(v) for v in images.values()) < length:
                 images = {a: self._tau(v) for a, v in images.items()}
             words = set()
-            for w in two:
+            for w in self._admissible_two_words():
                 words |= _factors(images[w[0]] + images[w[1]], length)
             result = frozenset(words)
         self._language_cache[length] = result
@@ -191,11 +205,41 @@ class SubstitutionSystem:
     def complexity(self, length: int) -> int:
         return len(self.language(length))
 
+    def lexicon(self, length: int):
+        """``language(length)`` interned: its words in sorted order, as an
+        object array, and the map from each word to its index there."""
+        entry = self._lexicons.get(length)
+        if entry is None:
+            words = sorted(self.language(length))
+            entry = (np.array(words, dtype=object),
+                     {w: i for i, w in enumerate(words)})
+            self._lexicons[length] = entry
+        return entry
+
+    def restriction(self, length: int, offset: int, span: int) -> np.ndarray:
+        """The restriction plan: for each word of ``lexicon(length)``, the
+        index in ``lexicon(span)`` of its slice ``[offset, offset + span)``.
+
+        A system keeps thousands of plans, so each is kept as one bytes
+        object under one integer key (``0 <= offset, span <= length``, and
+        no enumerable language has a length near ``2**20``)."""
+        index = self.lexicon(span)[1]
+        dtype = np.min_scalar_type(len(index))
+        key = (length << 40) | (offset << 20) | span
+        plan = self._restrictions.get(key)
+        if plan is None:
+            plan = self._restrictions[key] = np.fromiter(
+                (index[w[offset : offset + span]]
+                 for w in self.lexicon(length)[0]),
+                dtype=dtype, count=self.complexity(length)).tobytes()
+        return np.frombuffer(plan, dtype=dtype)
+
     def _check_aperiodic(self):
+        # Longest first, so every shorter language is a set of prefixes.
         probe = min(self.depth, _APERIODICITY_PROBE)
-        sizes = [self.complexity(n) for n in range(1, probe + 1)]
-        for a, b in zip(sizes, sizes[1:]):
-            if b <= a:
+        sizes = [self.complexity(n) for n in range(probe, 0, -1)]
+        for longer, shorter in zip(sizes, sizes[1:]):
+            if longer <= shorter:
                 raise PeriodicSystem(
                     "factor complexity stabilized; subshift is finite")
 
@@ -251,7 +295,7 @@ class ClopenSet:
     (same set of points), tested on a common window.
     """
 
-    __slots__ = ("system", "window", "words", "_translates")
+    __slots__ = ("system", "window", "words", "_translates", "_mask")
 
     def __init__(self, system: SubstitutionSystem, window: Window, words):
         words = frozenset(words)
@@ -275,19 +319,40 @@ class ClopenSet:
 
         The empty set and the full subshift are unconstrained, so any window
         works for them; otherwise the window must cover the canonical one.
+        On a wider window this is a gather: the set's membership mask over
+        ``lexicon(self.window.length)``, read through the system's restriction
+        plan for ``window``.
         """
         if not self.words:
             return frozenset()
         if self.is_full():
             return self.system.language(window.length)
-        if not window.contains(self.window):
-            raise WindowTooSmall(f"window {window} does not cover {self.window}")
         if window == self.window:
             return self.words
-        off = self.window.lo - window.lo
-        span = self.window.length
-        return frozenset(w for w in self.system.language(window.length)
-                         if w[off : off + span] in self.words)
+        return frozenset(self.system.lexicon(window.length)[0][
+            self.indices_on(window)])
+
+    def indices_on(self, window: Window) -> np.ndarray:
+        """The indices in ``lexicon(window.length)`` of ``words_on(window)``,
+        ascending, so in sorted word order."""
+        if not self.words:
+            return np.zeros(0, dtype=np.intp)
+        if self.is_full():
+            return np.arange(self.system.complexity(window.length))
+        if not window.contains(self.window):
+            raise WindowTooSmall(f"window {window} does not cover {self.window}")
+        try:
+            mask = self._mask
+        except AttributeError:
+            words, index = self.system.lexicon(self.window.length)
+            mask = self._mask = np.zeros(len(words), dtype=bool)
+            mask[[index[w] for w in self.words]] = True
+        if window == self.window:
+            return np.flatnonzero(mask)
+        plan = self.system.restriction(window.length,
+                                       self.window.lo - window.lo,
+                                       self.window.length)
+        return np.flatnonzero(mask[plan])
 
     def contains_point(self, p: "PointWindow") -> bool:
         if p.system is not self.system:

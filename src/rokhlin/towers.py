@@ -119,6 +119,7 @@ class RokhlinSystem:
         self._bases_union = seen
         self.window = window
         self._paths = {}
+        self._level_plans = {}
 
     @property
     def m(self) -> int:

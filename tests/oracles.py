@@ -239,3 +239,91 @@ def boundary_path_cover_oracle(S, l: int, paths) -> bool:
         if not entering.issubset(D):
             return False
     return D == (T & X_prev)
+
+
+# -- word-level rules of the evaluation and the lift -------------------------
+#
+# These are the per-word forms that the library replaced with interned
+# languages, restriction plans and column fills: one scalar read or write per
+# word and matrix entry.  They take the library's objects (sets, functions,
+# tower systems) and read only their stored tables.
+
+
+def unit_disc_oracle(rng) -> complex:
+    """One random point of the complex unit disc, drawn as two scalars:
+    radius ``sqrt(u)`` and angle ``uniform(0, 2 pi)``."""
+    radius = np.sqrt(rng.uniform())
+    angle = rng.uniform(0.0, 2.0 * np.pi)
+    return radius * complex(np.cos(angle), np.sin(angle))
+
+
+def words_on_oracle(C, window) -> frozenset:
+    """The words on ``window`` of the points of ``C``, by filtering the whole
+    language of that length on the slice of ``C``'s window."""
+    if not C.words:
+        return frozenset()
+    if C.is_full():
+        return C.system.language(window.length)
+    off = C.window.lo - window.lo
+    span = C.window.length
+    return frozenset(w for w in C.system.language(window.length)
+                     if w[off : off + span] in C.words)
+
+
+def vanishes_on_oracle(f, C) -> bool:
+    """Whether ``f`` is zero on ``C``: ``f`` tabulated over the whole language
+    of the common window, then read at each word of ``C``."""
+    if C.is_empty():
+        return True
+    w = f.window.hull(C.window)
+    off = f.window.lo - w.lo
+    table = {word: f.values[word[off : off + f.window.length]]
+             for word in f.system.language(w.length)}
+    return all(table[word] == 0 for word in words_on_oracle(C, w))
+
+
+def gamma_component_oracle(a, S, i: int) -> tuple:
+    """``(window, {word: matrix})`` of the evaluation over base ``i``: entry
+    ``(j, j - n)`` at a base word is ``a_n(h^j(x))``, written one scalar at a
+    time."""
+    r = S.heights[i]
+    T = S.bases[i]
+    window = T.window
+    for n, f in a.terms.items():
+        if abs(n) < r:
+            for j in range(max(0, n), r + min(0, n)):
+                window = window.hull(f.window.shift(j))
+    values = {}
+    for word in words_on_oracle(T, window):
+        M = np.zeros((r, r), dtype=complex)
+        for n, f in a.terms.items():
+            if abs(n) >= r:
+                continue
+            for j in range(max(0, n), r + min(0, n)):
+                M[j, j - n] = _read(f, word, window.lo, j)
+        values[word] = M
+    return window, values
+
+
+def lift_oracle(S, b) -> dict:
+    """``{n: (window, {word: value})}``, the nonzero values of each degree of
+    the lift of the stage element ``b``: a word on the interior level
+    ``h^j(T_l^0)`` gives degree ``n`` the entry ``M[j, j - n]`` and degree
+    ``-n`` the entry ``M[j - n, j]`` of ``b_l`` at its base point, one scalar
+    read per entry."""
+    window = S.levels[0][0].window
+    for l, comp in enumerate(b.components):
+        for j, L in enumerate(S.levels[l]):
+            window = window.hull(L.window).hull(comp.window.shift(-j))
+    tables = {}
+    for l, comp in enumerate(b.components):
+        for j, L in enumerate(S.levels[l]):
+            for word in sorted(words_on_oracle(L, window)):
+                M = _read(comp, word, window.lo, -j)
+                for n in range(j + 1):
+                    if M[j, j - n] != 0:
+                        tables.setdefault(n, {})[word] = complex(M[j, j - n])
+                    if n and M[j - n, j] != 0:
+                        tables.setdefault(-n, {})[word] = complex(M[j - n, j])
+    return {n: (window.shift(max(0, -n)), values)
+            for n, values in tables.items()}
