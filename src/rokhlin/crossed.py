@@ -18,6 +18,7 @@ on the ``RokhlinSystem``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -34,31 +35,78 @@ from .towers import RokhlinSystem
 MATRIX_TOL = 1e-10
 
 
-class CylinderFunction:
-    """A complex-valued function depending on finitely many coordinates."""
+def _product(a: np.ndarray, b) -> np.ndarray:
+    """``a * b`` for complex arrays (or a complex scalar ``b``), computed as
+    CPython multiplies two complex numbers: ``re = ar*br - ai*bi`` and
+    ``im = ar*bi + ai*br``, each float operation rounded on its own.
+    numpy's complex multiply may fuse a multiply and an add, which moves
+    the last bit of some products; this form does not."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
-    __slots__ = ("system", "window", "values", "_column")
+
+class CylinderFunction:
+    """A complex-valued function depending on finitely many coordinates.
+
+    The values are stored as one read-only complex column over
+    ``lexicon(window.length)``; ``values`` is the same table as a read-only
+    word -> value mapping, built on first use.  Sums, products and
+    re-windowing are array operations on columns read through the system's
+    restriction plans.
+    """
+
+    __slots__ = ("system", "window", "_column", "_values")
 
     def __init__(self, system: SubstitutionSystem, window: Window, values):
-        language = system.language(window.length)
-        bad = set(values) - language
+        index = system.lexicon(window.length)[1]
+        bad = set(values).difference(index)
         if bad:
             raise ValueError(f"values on inadmissible words: {sorted(bad)[:4]}")
+        column = np.zeros(len(index), dtype=complex)
+        column[[index[w] for w in values]] = [complex(v) for v in values.values()]
+        self._set(system, window, column)
+
+    def _set(self, system, window, column):
+        column.setflags(write=False)
         self.system = system
         self.window = window
-        self.values = dict.fromkeys(language, 0j)
-        for w, v in values.items():
-            self.values[w] = complex(v)
+        self._column = column
+
+    @classmethod
+    def _from_column(cls, system: SubstitutionSystem, window: Window,
+                     column: np.ndarray) -> "CylinderFunction":
+        """The function with the given column over ``lexicon(window.length)``,
+        taken as it is (no per-word validation)."""
+        f = cls.__new__(cls)
+        f._set(system, window, column)
+        return f
 
     @classmethod
     def constant(cls, system: SubstitutionSystem, value: complex) -> "CylinderFunction":
-        return cls(system, Window(0, 0), {w: value for w in system.language(1)})
+        return cls._from_column(system, Window(0, 0),
+                                np.full(system.complexity(1), complex(value)))
 
     @classmethod
     def indicator(cls, C: ClopenSet) -> "CylinderFunction":
-        return cls(C.system, C.window, {w: 1.0 for w in C.words})
+        column = np.zeros(C.system.complexity(C.window.length), dtype=complex)
+        column[C.indices_on(C.window)] = 1.0
+        return cls._from_column(C.system, C.window, column)
 
     # -- evaluation ----------------------------------------------------------
+
+    @property
+    def values(self):
+        """The table as a read-only mapping from each word on the window to
+        its value, in sorted word order."""
+        try:
+            return self._values
+        except AttributeError:
+            index = self.system.lexicon(self.window.length)[1]
+            self._values = MappingProxyType(
+                dict(zip(index, self._column.tolist())))
+            return self._values
 
     def value(self, word: str, window: Window) -> complex:
         if not window.contains(self.window):
@@ -69,23 +117,19 @@ class CylinderFunction:
     def value_at(self, p: PointWindow) -> complex:
         return self.value(p.word, p.window)
 
-    def column(self) -> np.ndarray:
-        """The values in ``lexicon(self.window.length)`` order, as a complex
-        array; built on the first call and kept, as no routine changes a
-        function's table after construction."""
-        try:
+    def column_on(self, window: Window) -> np.ndarray:
+        """The values in ``lexicon(window.length)`` order on a window that
+        covers the function's: its column read through a restriction plan."""
+        if window == self.window:
             return self._column
-        except AttributeError:
-            words = self.system.lexicon(self.window.length)[0]
-            self._column = np.array([self.values[w] for w in words],
-                                    dtype=complex)
-            return self._column
+        if not window.contains(self.window):
+            raise WindowTooSmall(f"{window} does not cover {self.window}")
+        return self._column[self.system.restriction(
+            window.length, self.window.lo - window.lo, self.window.length)]
 
     def values_on(self, window: Window) -> dict:
-        if window == self.window:
-            return dict(self.values)
-        return {w: self.value(w, window)
-                for w in self.system.language(window.length)}
+        return dict(zip(self.system.lexicon(window.length)[1],
+                        self.column_on(window).tolist()))
 
     # -- algebra --------------------------------------------------------------
 
@@ -93,45 +137,47 @@ class CylinderFunction:
         if self.system is not other.system:
             raise ValueError("functions belong to different systems")
         w = self.window.hull(other.window)
-        left = self.values_on(w)
-        right = other.values_on(w)
-        return CylinderFunction(self.system, w,
-                                {word: op(left[word], right[word]) for word in left})
+        return CylinderFunction._from_column(
+            self.system, w, op(self.column_on(w), other.column_on(w)))
 
     def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
+        return self._binary(other, np.add)
 
     def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
+        return self._binary(other, np.subtract)
 
     def __mul__(self, other):
         if isinstance(other, CylinderFunction):
-            return self._binary(other, lambda a, b: a * b)
+            return self._binary(other, _product)
         return self.scale(other)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c: complex) -> "CylinderFunction":
-        c = complex(c)
-        return CylinderFunction(self.system, self.window,
-                                {w: c * v for w, v in self.values.items()})
+        return CylinderFunction._from_column(
+            self.system, self.window, _product(self._column, complex(c)))
 
     def conj(self) -> "CylinderFunction":
-        return CylinderFunction(self.system, self.window,
-                                {w: v.conjugate() for w, v in self.values.items()})
+        return CylinderFunction._from_column(self.system, self.window,
+                                             self._column.conj())
 
     def compose_shift(self, j: int) -> "CylinderFunction":
-        """The function ``f o h^j``; its window moves up by ``j``."""
-        return CylinderFunction(self.system, self.window.shift(j), self.values)
+        """The function ``f o h^j``; its window moves up by ``j``, and it
+        shares this function's column."""
+        return CylinderFunction._from_column(self.system, self.window.shift(j),
+                                             self._column)
 
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values.values())
+        return not self._column.any()
 
     def sup_norm(self) -> float:
-        return max((abs(v) for v in self.values.values()), default=0.0)
+        # np.hypot is libm's hypot, as Python's abs(complex) is; np.abs on a
+        # complex array is not, and differs from it in the last bit.
+        return float(np.hypot(self._column.real, self._column.imag).max(
+            initial=0.0))
 
     def vanishes_on(self, C: ClopenSet) -> bool:
         """Whether the function is zero at every point of ``C``: its value
@@ -141,14 +187,15 @@ class CylinderFunction:
         w = self.window.hull(C.window)
         plan = self.system.restriction(w.length, self.window.lo - w.lo,
                                        self.window.length)
-        return not self.column()[plan[C.indices_on(w)]].any()
+        return not self._column[plan[C.indices_on(w)]].any()
 
     def support_set(self) -> ClopenSet:
+        words = self.system.lexicon(self.window.length)[0]
         return ClopenSet(self.system, self.window,
-                         {w for w, v in self.values.items() if v != 0})
+                         words[self._column != 0].tolist())
 
     def __repr__(self):
-        return f"CylinderFunction([{self.window.lo},{self.window.hi}], {len(self.values)} words)"
+        return f"CylinderFunction([{self.window.lo},{self.window.hi}], {len(self._column)} words)"
 
 
 class FormalElement:
@@ -271,11 +318,9 @@ def project_to_subalgebra(a: FormalElement, Y: ClopenSet) -> FormalElement:
     for n, f in a.terms.items():
         B = Y.translates(n)
         w = f.window.hull(B.window) if not B.is_empty() else f.window
-        table = f.values_on(w)
-        dead = B.words_on(w)
-        terms[n] = CylinderFunction(
-            a.system, w, {word: (0.0 if word in dead else v)
-                          for word, v in table.items()})
+        column = f.column_on(w).copy()
+        column[B.indices_on(w)] = 0.0
+        terms[n] = CylinderFunction._from_column(a.system, w, column)
     return FormalElement(a.system, terms)
 
 
@@ -306,13 +351,15 @@ def gamma_eval(a: FormalElement, N: int, Z: ClopenSet, x: PointWindow,
     for n, f in a.terms.items():
         if abs(n) >= N:
             continue
+        values = f.values
+        span = f.window.length
         for j in _entry_ranges(n, N):
-            needed = f.window.shift(j)
-            if not x.window.contains(needed):
+            off = f.window.lo + j - x.window.lo
+            if off < 0 or off + span > x.window.length:
                 raise WindowTooSmall(
                     f"point window {x.window} cannot evaluate coefficient "
                     f"{n} at orbit step {j}")
-            M[j, j - n] = f.values[x.word_on(needed)]
+            M[j, j - n] = values[x.word[off : off + span]]
     return M
 
 
@@ -328,15 +375,17 @@ def gamma_component(a: FormalElement, S: RokhlinSystem, i: int) -> MatrixCylinde
     window = T.window
     terms = [(n, f) for n, f in a.terms.items() if abs(n) < r]
     for n, f in terms:
-        for j in _entry_ranges(n, r):
-            window = window.hull(f.window.shift(j))
+        steps = _entry_ranges(n, r)
+        window = window.hull(Window(f.window.lo + steps.start,
+                                    f.window.hi + steps.stop - 1))
     words = T.system.lexicon(window.length)[0][T.indices_on(window)].tolist()
     out = np.zeros((len(words), r, r), dtype=complex)
     for n, f in terms:
         span = f.window.length
+        values = f.values
         for j in _entry_ranges(n, r):
             off = f.window.lo + j - window.lo
-            out[:, j, j - n] = [f.values[w[off : off + span]] for w in words]
+            out[:, j, j - n] = [values[w[off : off + span]] for w in words]
     return MatrixCylinderFunction(T, window, r, dict(zip(words, out)))
 
 
@@ -393,9 +442,8 @@ def sample_subalgebra_element(system: SubstitutionSystem, Y: ClopenSet, rng,
         length = int(rng.choice(window_lengths))
         lo = int(rng.integers(lo_range[0], lo_range[1] + 1))
         window = Window(lo, lo + length - 1)
-        words = system.lexicon(length)[0]
-        values = dict(zip(words, _unit_disc(rng, len(words)).tolist()))
-        terms[n] = CylinderFunction(system, window, values)
+        terms[n] = CylinderFunction._from_column(
+            system, window, _unit_disc(rng, system.complexity(length)))
     return project_to_subalgebra(FormalElement(system, terms), Y)
 
 

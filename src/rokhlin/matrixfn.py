@@ -124,12 +124,8 @@ class MatrixCylinderFunction:
         if self.size != other.size or not (self.base == other.base):
             return False
         w = self.window.hull(other.window)
-        left = self.values_on(w)
-        if not left:
-            return True
-        right = other.values_on(w)
-        return bool(np.isclose(np.stack(list(left.values())),
-                               np.stack([right[word] for word in left]),
+        words = self.base.system.lexicon(w.length)[0][self.base.indices_on(w)]
+        return bool(np.isclose(self.stack(words, w), other.stack(words, w),
                                rtol=0.0, atol=atol).all())
 
     def __repr__(self):

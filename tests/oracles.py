@@ -6,7 +6,9 @@ The tower-check oracles are the pairwise definitions, written in clopen-set
 algebra on the system they are given.
 """
 
+import operator
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,6 +135,18 @@ def gluing_violations_oracle(components, paths_by_level, tol: float = 1e-12):
                 if not np.allclose(want, glued, rtol=0.0, atol=tol):
                     found.append((l, path.mu, word))
     return found
+
+
+def allclose_oracle(f, g, atol: float) -> bool:
+    """Whether two tabulated matrix functions on the same base agree within
+    ``atol`` entry by entry, one base word at a time on the hull window."""
+    if f.size != g.size or not (f.base == g.base):
+        return False
+    window = f.window.hull(g.window)
+    return all(np.isclose(_read(f, word, window.lo, 0),
+                          _read(g, word, window.lo, 0),
+                          rtol=0.0, atol=atol).all()
+               for word in f.base.words_on(window))
 
 
 def _disjoint_words(pieces, window):
@@ -327,3 +341,110 @@ def lift_oracle(S, b) -> dict:
                         tables.setdefault(-n, {})[word] = complex(M[j - n, j])
     return {n: (window.shift(max(0, -n)), values)
             for n, values in tables.items()}
+
+
+# -- word-table series arithmetic ---------------------------------------------
+#
+# The word -> value forms of cylinder-function and series arithmetic that the
+# library replaced with one complex column per function: a function is a
+# ``Table`` (its system, its window, and a dict from every word on the window
+# to a Python complex), and a series is a dict from degree to table.  Every
+# value is computed by CPython's complex arithmetic, one word at a time.
+
+
+class Table(NamedTuple):
+    system: object
+    window: object
+    values: dict
+
+
+def table_of(f) -> Table:
+    """The stored table of a library cylinder function."""
+    return Table(f.system, f.window, dict(f.values))
+
+
+def series_of(a) -> dict:
+    """The stored tables of a library series, by degree."""
+    return {n: table_of(f) for n, f in a.terms.items()}
+
+
+def values_on_oracle(f: Table, window) -> dict:
+    """``f`` tabulated over the whole language on a covering window: each
+    word reads ``f`` at its slice."""
+    if window == f.window:
+        return dict(f.values)
+    if not window.contains(f.window):
+        raise ValueError(f"{window} does not cover {f.window}")
+    off = f.window.lo - window.lo
+    return {w: f.values[w[off : off + f.window.length]]
+            for w in f.system.language(window.length)}
+
+
+def binary_oracle(f: Table, g: Table, op) -> Table:
+    """``op`` of two functions, word by word on the hull of their windows."""
+    w = f.window.hull(g.window)
+    left = values_on_oracle(f, w)
+    right = values_on_oracle(g, w)
+    return Table(f.system, w, {word: complex(op(left[word], right[word]))
+                               for word in left})
+
+
+def scale_oracle(f: Table, c) -> Table:
+    c = complex(c)
+    return Table(f.system, f.window, {w: c * v for w, v in f.values.items()})
+
+
+def conj_oracle(f: Table) -> Table:
+    return Table(f.system, f.window,
+                 {w: v.conjugate() for w, v in f.values.items()})
+
+
+def compose_shift_oracle(f: Table, j: int) -> Table:
+    """``f o h^j``: the same table on the window moved up by ``j``."""
+    return Table(f.system, f.window.shift(j), f.values)
+
+
+def _nonzero_terms(terms: dict) -> dict:
+    return {n: f for n, f in terms.items()
+            if not all(v == 0 for v in f.values.values())}
+
+
+def series_mul_oracle(a: dict, b: dict) -> dict:
+    """``(f u^m)(g u^n) = f (g o h^{-m}) u^{m+n}``, summed per degree in the
+    order of ``a``'s terms, then ``b``'s; zero terms are dropped."""
+    terms = {}
+    for m, f in a.items():
+        for n, g in b.items():
+            piece = binary_oracle(f, compose_shift_oracle(g, -m), operator.mul)
+            key = m + n
+            terms[key] = (binary_oracle(terms[key], piece, operator.add)
+                          if key in terms else piece)
+    return _nonzero_terms(terms)
+
+
+def series_adjoint_oracle(a: dict) -> dict:
+    """``(f u^n)* = (conj(f) o h^n) u^{-n}``."""
+    return _nonzero_terms({-n: compose_shift_oracle(conj_oracle(f), n)
+                           for n, f in a.items()})
+
+
+def project_oracle(a: dict, Y) -> dict:
+    """Each degree-``n`` coefficient set to zero, word by word, on the words
+    of ``Y.translates(n)`` on the hull of both windows."""
+    terms = {}
+    for n, f in a.items():
+        B = Y.translates(n)
+        w = f.window.hull(B.window) if not B.is_empty() else f.window
+        dead = words_on_oracle(B, w)
+        terms[n] = Table(f.system, w,
+                         {word: (0j if word in dead else v)
+                          for word, v in values_on_oracle(f, w).items()})
+    return _nonzero_terms(terms)
+
+
+def series_json(a: dict) -> dict:
+    """A series of tables in the shape of ``FormalElement.to_json``."""
+    return {"terms": [{"n": n, "window": [a[n].window.lo, a[n].window.hi],
+                       "values": {w: [v.real, v.imag]
+                                  for w, v in sorted(a[n].values.items())}}
+                      for n in sorted(a)]}

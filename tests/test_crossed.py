@@ -29,6 +29,20 @@ def indicator_u(system, window, word, degree=1):
         degree, CylinderFunction.indicator(system.cylinder(window, word)))
 
 
+class TestCylinderFunctionStore:
+    def test_tables_are_read_only_and_shared_by_shifts(self, pd):
+        f = CylinderFunction(pd, Window(0, 1), {"01": 2.0, "10": -1j})
+        assert list(f.values.items()) == [("00", 0j), ("01", 2 + 0j),
+                                          ("10", -1j)]
+        g = f.compose_shift(3)
+        assert g.window == Window(3, 4) and g.values == f.values
+        with pytest.raises(TypeError):
+            f.values["01"] = 0j
+        with pytest.raises(ValueError):
+            g.column_on(g.window)[0] = 0j
+        assert f.values["01"] == 2.0
+
+
 class TestForbiddenSets:
     def test_zero_is_empty(self, fib_y):
         assert fib_y.translates(0).is_empty()

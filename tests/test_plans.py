@@ -1,25 +1,44 @@
-"""Interned languages, restriction plans and column fills against the
-word-at-a-time rules they replaced (``tests/oracles.py``)."""
+"""Interned languages, restriction plans, column fills and column
+arithmetic against the word-at-a-time rules they replaced
+(``tests/oracles.py``)."""
+
+import json
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
+    allclose_oracle,
+    binary_oracle,
+    compose_shift_oracle,
+    conj_oracle,
     factor_oracle,
     gamma_component_oracle,
     lift_oracle,
+    project_oracle,
+    scale_oracle,
+    series_adjoint_oracle,
+    series_json,
+    series_mul_oracle,
+    series_of,
+    table_of,
     unit_disc_oracle,
+    values_on_oracle,
     vanishes_on_oracle,
     words_on_oracle,
 )
 from rokhlin.crossed import (
     CylinderFunction,
+    FormalElement,
     _unit_disc,
     gamma_component,
+    project_to_subalgebra,
     sample_subalgebra_element,
 )
 from rokhlin.errors import BoundSearchExceeded, NonPrimitive, PeriodicSystem
+from rokhlin.matrixfn import MatrixCylinderFunction
 from rokhlin.rsh import lift, sample_stage_element, stage_from_gamma
 from rokhlin.subshift import ClopenSet, SubstitutionSystem, Window
 from rokhlin.towers import build_towers
@@ -175,3 +194,130 @@ class TestColumnFills:
             assert all(_bitwise(comp.values[w], M) for w, M in values.items())
         _assert_lift_matches(S, stage_from_gamma(a, S))
         _assert_lift_matches(S, sample_stage_element(S, rng))
+
+
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None)
+    @given(_rules(), st.integers(0, 63), st.integers(0, 2**32 - 1),
+           st.integers(0, 2), st.integers(0, 2),
+           st.sampled_from([0.0, -0.0, 1e-13, 1e-10, float("nan"),
+                            float("inf")]),
+           st.sampled_from([0.0, 1e-12, 1e-9]))
+    def test_allclose_matches_word_rule(self, rules, pick, seed, left, right,
+                                        delta, atol):
+        system = _system(rules)
+        words = sorted(system.language(1))
+        Y = system.cylinder(Window(0, 0), words[pick % len(words)])
+        try:
+            S = build_towers(Y, "full")
+        except BoundSearchExceeded:
+            assume(False)
+        assume(max(S.heights) <= 12)
+        rng = np.random.default_rng(seed)
+        a, b = (sample_stage_element(S, rng) for _ in range(2))
+        for l in range(S.m + 1):
+            f = a.components[l]
+            # f re-tabulated on a wider window, one entry moved by delta
+            wide = Window(f.window.lo - left, f.window.hi + right)
+            table = {w: f.value(w, wide) for w in f.base.words_on(wide)}
+            moved = sorted(table)[pick % len(table)]
+            table[moved] = table[moved] + delta
+            g = MatrixCylinderFunction(f.base, wide, f.size, table)
+            for x, y in ((f, g), (g, f), (f, b.components[l])):
+                assert x.allclose(y, atol=atol) is allclose_oracle(x, y, atol)
+
+
+SIGNED_ZEROS = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+
+
+@st.composite
+def _float_function(draw, system):
+    """A cylinder function on a window of length 1-3 at ``lo`` in -2..2 with
+    random values on the unit disc, signed zeros at some words and no
+    value (zero) at others."""
+    length = draw(st.integers(1, 3))
+    lo = draw(st.integers(-2, 2))
+    words = sorted(system.language(length))
+    disc = _unit_disc(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                      len(words)).tolist()
+    values = {}
+    for w, v in zip(words, disc):
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            continue
+        values[w] = draw(st.sampled_from(SIGNED_ZEROS)) if kind == 1 else v
+    return CylinderFunction(system, Window(lo, lo + length - 1), values)
+
+
+@st.composite
+def _series(draw, system):
+    """A series with 1-3 terms at distinct degrees in -3..3."""
+    degrees = draw(st.sets(st.integers(-3, 3), min_size=1, max_size=3))
+    return FormalElement(system, {n: draw(_float_function(system))
+                                  for n in sorted(degrees)})
+
+
+def _values_json(values) -> dict:
+    return {w: [v.real, v.imag] for w, v in sorted(values.items())}
+
+
+def _table_bytes(f) -> bytes:
+    """A function's window and table as JSON, signed zeros and every bit of
+    each value included."""
+    return json.dumps({"window": [f.window.lo, f.window.hi],
+                       "values": _values_json(f.values)}).encode()
+
+
+def _series_bytes(a: FormalElement, want: dict) -> tuple:
+    """The library series' ``to_json`` bytes, and the oracle's in that shape."""
+    return (json.dumps(a.to_json()).encode(),
+            json.dumps(series_json(want)).encode())
+
+
+class TestColumnArithmetic:
+    """Sums, products, scaling, conjugation, shifts, re-windowing and
+    projection on complex columns equal the word-by-word CPython arithmetic
+    byte for byte: a product computed with a fused multiply-add differs in
+    the last bit of some values."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_function_arithmetic_matches_tables(self, data):
+        system = _system(data.draw(_rules()))
+        f = data.draw(_float_function(system))
+        g = data.draw(_float_function(system))
+        tf, tg = table_of(f), table_of(g)
+        for got, op in ((f + g, operator.add), (f - g, operator.sub),
+                        (f * g, operator.mul)):
+            assert _table_bytes(got) == _table_bytes(binary_oracle(tf, tg, op))
+        c = data.draw(st.sampled_from([-1.0, 0.5j, complex(-0.0, 2.0)])
+                      | st.complex_numbers(max_magnitude=4.0))
+        assert _table_bytes(f.scale(c)) == _table_bytes(scale_oracle(tf, c))
+        assert _table_bytes(f.conj()) == _table_bytes(conj_oracle(tf))
+        j = data.draw(st.integers(-4, 4))
+        assert (_table_bytes(f.compose_shift(j))
+                == _table_bytes(compose_shift_oracle(tf, j)))
+        window = data.draw(_cover(f))
+        got = f.values_on(window)
+        assert list(got) == sorted(got)
+        assert (json.dumps(_values_json(got)).encode()
+                == json.dumps(_values_json(values_on_oracle(tf, window))).encode())
+        for h in (f, f - f, f - f.conj(), f + f.conj()):
+            assert h.is_zero() == all(v == 0 for v in h.values.values())
+        assert f.sup_norm() == max(abs(v) for v in tf.values.values())
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_series_arithmetic_matches_tables(self, data):
+        system = _system(data.draw(_rules()))
+        a = data.draw(_series(system))
+        b = data.draw(_series(system))
+        Y = data.draw(_cylinder_union(system))
+        ta, tb = series_of(a), series_of(b)
+        for got, want in ((a * b, series_mul_oracle(ta, tb)),
+                          (a.adjoint(), series_adjoint_oracle(ta)),
+                          (project_to_subalgebra(a, Y), project_oracle(ta, Y))):
+            left, right = _series_bytes(got, want)
+            assert left == right

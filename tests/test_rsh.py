@@ -322,6 +322,23 @@ class TestLift:
         assert in_stage_algebra(S, b2)
         assert stage_from_gamma(lift(S, b2), S).equal_exact(b)
 
+    def test_equal_exact_guards_and_windows(self, pd_full):
+        T0, T1 = pd_full.bases
+        ident = StageElement.identity(pd_full)
+        assert not ident.equal_exact(ident.truncate(0))
+        one = MatrixCylinderFunction.identity(T0, 1)
+        assert not StageElement((one,)).equal_exact(
+            StageElement((MatrixCylinderFunction.identity(T0, 2),)))
+        assert not StageElement((one,)).equal_exact(
+            StageElement((MatrixCylinderFunction.identity(T1, 1),)))
+        # the same values tabulated on a wider window, with negative zeros
+        wide = Window(T1.window.lo - 1, T1.window.hi + 2)
+        top = ident.components[1]
+        signed = MatrixCylinderFunction(T1, wide, 2, {
+            w: top.value(w, wide) - np.zeros((2, 2))
+            for w in T1.words_on(wide)})
+        assert StageElement((ident.components[0], signed)).equal_exact(ident)
+
     # A hand-built height-2 tower over the whole space: both of its levels are
     # the whole space, so every word lies on two levels at once.
     OVERLAPPING_LEVELS = """
