@@ -10,6 +10,7 @@ version).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -36,7 +37,6 @@ from .towers import (
     boundary_path_cover,
     build_towers,
     partition_identities,
-    return_profile,
     verify_rokhlin_axioms,
 )
 
@@ -261,16 +261,34 @@ def _check_stage_membership(ctx):
     return CheckResult("stage-membership", not detail, 0.0, detail)
 
 
+def _first_difference(got, want) -> tuple | None:
+    """``(level, word)`` of the first block at which two stage elements over
+    the same bases differ, in level and then sorted word order."""
+    for l, (f, g) in enumerate(zip(got.components, want.components)):
+        w = f.window.hull(g.window)
+        words = sorted(f.base.words_on(w))
+        differs = (f.stack(words, w) != g.stack(words, w)).any(axis=(1, 2))
+        if differs.any():
+            return l, words[int(np.argmax(differs))]
+    return None
+
+
 def _check_lift_roundtrip(ctx):
     S = ctx["S"]
     rng = np.random.default_rng(ctx["seed"])
-    ok = True
     pool = list(rsh.stage_basis_elements(S))
+    basis = len(pool)
     pool += [rsh.sample_stage_element(S, rng) for _ in range(10)]
-    for b in pool:
-        a = rsh.lift(S, b)
-        ok = ok and rsh.stage_from_gamma(a, S).equal_exact(b)
-    return CheckResult("lift-roundtrip", ok, 0.0, f"{len(pool)} elements")
+    for k, b in enumerate(pool):
+        got = rsh.stage_from_gamma(rsh.lift(S, b), S)
+        if not got.equal_exact(b):
+            kind = "basis" if k < basis else f"sample {k - basis}"
+            detail = f"{len(pool)} elements; element {k} ({kind}) differs"
+            where = _first_difference(got, b)
+            if where is not None:
+                detail += f" at level {where[0]}, word {where[1]!r}"
+            return CheckResult("lift-roundtrip", False, 0.0, detail)
+    return CheckResult("lift-roundtrip", True, 0.0, f"{len(pool)} elements")
 
 
 def _check_pullback(ctx):
@@ -368,7 +386,7 @@ CHECKS = {
 def cmd_towers(args) -> int:
     cfg = load_config(args)
     S = build_towers(cfg.Y, cfg.variant)
-    profile = return_profile(cfg.Y)
+    profile = S.profile
     axioms = verify_rokhlin_axioms(S)
     partitions = partition_identities(S)
     paths = [p for l in range(S.m + 1) for p in admissible_sequences(S, l)]
@@ -519,25 +537,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("towers", help="build towers and verify their identities")
     common(p)
-    p.set_defaults(func=cmd_towers)
 
     p = sub.add_parser("decompose", help="stage decomposition and projections")
     common(p)
     p.add_argument("--emit-decomposition", action="store_true",
                    help="include full decomposition data in the report")
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify", help="run the registered check suite")
     common(p)
     p.add_argument("--checks", help="comma-separated subset of checks")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("eval", help="evaluate a stored element at a point")
     common(p)
     p.add_argument("--element", required=True, help="element JSON path")
     p.add_argument("--n", type=int, required=True, help="matrix size")
     p.add_argument("--x", required=True, help="point as POS:WORD")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("rc-bound", help="comparison-radius bound table")
     common(p)
@@ -546,15 +560,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="declared dimension of the coordinate space")
     p.add_argument("--mdim", type=float,
                    help="also print the headline bound for this mean dimension")
-    p.set_defaults(func=cmd_rc_bound)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  The parser is built on the first call and reused;
+    the command function is looked up by name on every call."""
+    args = _parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -199,13 +199,19 @@ def window_disjointness(Y: ClopenSet, k_max: int) -> bool:
     so every tower height over ``Y`` is at least ``k_max + 1``; that
     consequence is recomputed and enforced.
     """
+    return _disjoint_translates(Y, k_max, lambda: return_profile(Y))
+
+
+def _disjoint_translates(Y: ClopenSet, k_max: int, profile) -> bool:
+    """``window_disjointness``, with the return profile of ``Y`` taken from
+    ``profile()`` when the translates are disjoint."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     # h^k(Y) meets Y exactly when Y meets h^{-k}(Y)
     if not (Y & Y.translates(-k_max)).is_empty():
         return False
     if k_max >= 1:
-        least = return_profile(Y).times[0]
+        least = profile().times[0]
         if least < k_max + 1:
             raise InvariantViolated(
                 "disjoint translates but a return time below the window length")
@@ -228,7 +234,7 @@ def rc_upper_bound(S: RokhlinSystem, window: Window,
     per_level = tuple(per_level_value(length, r, declared_dim)
                       for r in S.heights)
     bound = max(0.0, max(float(v) for v in per_level))
-    separated = window_disjointness(S.Y, length - 1)
+    separated = _disjoint_translates(S.Y, length - 1, lambda: S.profile)
     if separated and bound > declared_dim:
         raise InvariantViolated("separation certified but the bound exceeds "
                                 "the declared dimension")

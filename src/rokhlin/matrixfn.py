@@ -56,6 +56,21 @@ class MatrixCylinderFunction:
         self.values = MappingProxyType(table)
 
     @classmethod
+    def _from_stack(cls, base: ClopenSet, window: Window, words,
+                    stack: np.ndarray) -> "MatrixCylinderFunction":
+        """The function whose value at ``words[k]`` is ``stack[k]``, taken as
+        it is (no per-word validation): ``words`` must be
+        ``base.words_on(window)`` and ``stack`` a complex array of shape
+        ``(len(words), size, size)``, which becomes read-only."""
+        stack.setflags(write=False)
+        f = cls.__new__(cls)
+        f.base = base
+        f.window = window
+        f.size = stack.shape[1]
+        f.values = MappingProxyType(dict(zip(words, stack)))
+        return f
+
+    @classmethod
     def constant(cls, base: ClopenSet, matrix) -> "MatrixCylinderFunction":
         M = np.array(matrix, dtype=complex)
         return cls(base, base.window, M.shape[0],

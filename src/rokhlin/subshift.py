@@ -220,19 +220,22 @@ class SubstitutionSystem:
         """The restriction plan: for each word of ``lexicon(length)``, the
         index in ``lexicon(span)`` of its slice ``[offset, offset + span)``.
 
-        A system keeps thousands of plans, so each is kept as one bytes
-        object under one integer key (``0 <= offset, span <= length``, and
-        no enumerable language has a length near ``2**20``)."""
-        index = self.lexicon(span)[1]
-        dtype = np.min_scalar_type(len(index))
+        A system keeps thousands of plans, so each is kept under one integer
+        key (``0 <= offset, span <= length``, and no enumerable language has
+        a length near ``2**20``) as a read-only array of the smallest
+        unsigned type; a hit is one dict lookup."""
         key = (length << 40) | (offset << 20) | span
         plan = self._restrictions.get(key)
         if plan is None:
-            plan = self._restrictions[key] = np.fromiter(
+            index = self.lexicon(span)[1]
+            plan = np.fromiter(
                 (index[w[offset : offset + span]]
                  for w in self.lexicon(length)[0]),
-                dtype=dtype, count=self.complexity(length)).tobytes()
-        return np.frombuffer(plan, dtype=dtype)
+                dtype=np.min_scalar_type(len(index)),
+                count=self.complexity(length))
+            plan.setflags(write=False)
+            self._restrictions[key] = plan
+        return plan
 
     def _check_aperiodic(self):
         # Longest first, so every shorter language is a set of prefixes.
@@ -393,8 +396,23 @@ class ClopenSet:
         return self.system.full_set() - self
 
     def shift(self, j: int) -> "ClopenSet":
-        """The image ``h^j`` of this set; a constraint at ``k`` moves to ``k - j``."""
-        return ClopenSet(self.system, self.window.shift(-j), self.words)
+        """The image ``h^j`` of this set; a constraint at ``k`` moves to ``k - j``.
+
+        The canonical form depends only on the words and the language, and
+        the language is shift-invariant, so the image keeps these words and
+        this membership mask on the moved window; the empty and the full
+        set constrain no coordinate and are their own images."""
+        if not self.words or self.is_full():
+            return self
+        image = ClopenSet.__new__(ClopenSet)
+        image.system = self.system
+        image.window = self.window.shift(-j)
+        image.words = self.words
+        try:
+            image._mask = self._mask
+        except AttributeError:
+            pass
+        return image
 
     def translates(self, n: int) -> "ClopenSet":
         """``Y_n``: the union of ``h^0 .. h^{n-1}`` of this set for ``n > 0``,

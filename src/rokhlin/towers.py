@@ -6,14 +6,15 @@ levels ``h^j(T_l^0)`` tile the space.  Two constructions are provided: the
 ``standard`` variant takes each base to be the exact return-time fiber, the
 ``full`` variant takes ``T_l = Y \\cap h^{-r_l}(Y)``.  Both share the same
 interiors ``T_l^0`` and the same heights.
-``RokhlinSystem`` derives its levels and tower unions ``X_l`` once, and
-``admissible_sequences`` keeps each tower's realized paths on it; ``Y_n``
-comes from ``ClopenSet.translates``.
+``RokhlinSystem`` derives its levels and tower unions ``X_l`` once and keeps
+the return profile of ``Y``; ``admissible_sequences`` keeps each tower's
+realized paths on it; ``Y_n`` comes from ``ClopenSet.translates``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import BoundSearchExceeded
 from .subshift import ClopenSet, SubstitutionSystem, Window
@@ -108,8 +109,7 @@ class RokhlinSystem:
             boundaries.append(D)
             interiors.append(T - D)
             levels.append(tuple(interiors[-1].shift(j) for j in range(r)))
-            for j in range(r):
-                X = X | T.shift(j)
+            X = _union(system, [X, *(T.shift(j) for j in range(r))])
             unions.append(X)
             seen = seen | T
         self.boundaries = tuple(boundaries)
@@ -120,10 +120,21 @@ class RokhlinSystem:
         self.window = window
         self._paths = {}
         self._level_plans = {}
+        self._profile = None
 
     @property
     def m(self) -> int:
         return len(self.bases) - 1
+
+    @property
+    def profile(self) -> ReturnProfile:
+        """The first-return-time partition of ``Y``: the one ``build_towers``
+        built this system from, or for a hand-built system the one computed
+        from ``Y`` on first use.  It is kept here and not on ``Y``, which
+        it refers back to."""
+        if self._profile is None:
+            self._profile = return_profile(self.Y)
+        return self._profile
 
     def level(self, l: int, j: int) -> ClopenSet:
         """The ``j``-th level ``h^j(T_l^0)`` of the ``l``-th tower, ``0 <= j < r_l``."""
@@ -165,7 +176,20 @@ def build_towers(Y: ClopenSet, variant: str = "full") -> RokhlinSystem:
         bases = [piece for _, piece in profile.levels]
     else:
         bases = [Y & Y.shift(-r) for r in heights]
-    return RokhlinSystem(Y.system, variant, Y, bases, heights)
+    S = RokhlinSystem(Y.system, variant, Y, bases, heights)
+    S._profile = profile
+    return S
+
+
+def _union(system: SubstitutionSystem, sets) -> ClopenSet:
+    """The union of ``sets``, canonicalized once on the hull of their
+    windows (the empty ones left out)."""
+    sets = [C for C in sets if not C.is_empty()]
+    if not sets:
+        return system.empty_set()
+    window = reduce(Window.hull, (C.window for C in sets))
+    return ClopenSet(system, window,
+                     frozenset().union(*(C.words_on(window) for C in sets)))
 
 
 @dataclass(frozen=True)
@@ -193,7 +217,7 @@ def verify_rokhlin_axioms(S: RokhlinSystem) -> AxiomReport:
     reported separately; the full variant legitimately fails it whenever a
     boundary is nonempty.
     """
-    profile = return_profile(S.Y)
+    profile = S.profile
     conditions = {}
     conditions["bases-cover-Y"] = S._bases_union == S.Y
     conditions["heights-nondecreasing"] = all(

@@ -448,3 +448,117 @@ def series_json(a: dict) -> dict:
                        "values": {w: [v.real, v.imag]
                                   for w, v in sorted(a[n].values.items())}}
                       for n in sorted(a)]}
+
+
+# -- clopen-set algebra ---------------------------------------------------------
+#
+# The word-set rules of ``ClopenSet``: an operation takes both operands' words
+# on the hull of their windows, combines them as Python sets and brings the
+# result to canonical form; a shift moves the window and canonicalizes again.
+# A set is a ``SetForm`` here, and results are compared with the library's as
+# ``(window, sorted words)``.
+
+
+class SetForm(NamedTuple):
+    system: object
+    lo: int
+    hi: int
+    words: frozenset
+
+
+def set_form(C) -> SetForm:
+    """The stored form of a library ``ClopenSet``."""
+    return SetForm(C.system, C.window.lo, C.window.hi, frozenset(C.words))
+
+
+def form_key(F) -> tuple:
+    """``((lo, hi), sorted words)`` of a ``SetForm`` or a ``ClopenSet``."""
+    if not isinstance(F, SetForm):
+        F = set_form(F)
+    return (F.lo, F.hi), sorted(F.words)
+
+
+def _is_full(F: SetForm) -> bool:
+    return F.lo == F.hi and F.words == F.system.language(1)
+
+
+def form_words_on(F: SetForm, lo: int, hi: int) -> set:
+    """The words on ``[lo, hi]`` of the points of ``F``: the whole language
+    for the full set, else the words whose slice on ``F``'s window is one of
+    its words."""
+    if not F.words:
+        return set()
+    if _is_full(F):
+        return set(F.system.language(hi - lo + 1))
+    if not (lo <= F.lo and F.hi <= hi):
+        raise ValueError(f"[{lo}, {hi}] does not cover [{F.lo}, {F.hi}]")
+    off, span = F.lo - lo, F.hi - F.lo + 1
+    return {w for w in F.system.language(hi - lo + 1)
+            if w[off : off + span] in F.words}
+
+
+def canonical_form(system, lo: int, hi: int, words) -> SetForm:
+    """The canonical form of the set whose points read ``words`` on
+    ``[lo, hi]``: while the window is longer than one coordinate, cut its
+    right end if membership does not depend on the last letter (every class
+    of admissible words that agree but for it is wholly in or wholly out),
+    else its left end likewise, else stop; the empty set and the full
+    subshift sit on ``[0, 0]``."""
+    words = frozenset(words)
+    if not words:
+        return SetForm(system, 0, 0, words)
+    cuts = ((lambda w: w[:-1], lambda lo, hi: (lo, hi - 1)),
+            (lambda w: w[1:], lambda lo, hi: (lo + 1, hi)))
+    while hi > lo:
+        for key, shrink in cuts:
+            classes: dict = {}
+            for v in system.language(hi - lo + 1):
+                classes.setdefault(key(v), set()).add(v in words)
+            if all(len(members) == 1 for members in classes.values()):
+                lo, hi = shrink(lo, hi)
+                words = frozenset(key(w) for w in words)
+                break
+        else:
+            break
+    if hi == lo and words == system.language(1):
+        return SetForm(system, 0, 0, words)
+    return SetForm(system, lo, hi, words)
+
+
+def setop_oracle(A: SetForm, B: SetForm, op) -> SetForm:
+    """``op`` (``operator.and_``, ``or_`` or ``sub`` on sets) of two sets,
+    word by word on the hull of their windows."""
+    lo, hi = min(A.lo, B.lo), max(A.hi, B.hi)
+    return canonical_form(A.system, lo, hi,
+                          op(form_words_on(A, lo, hi), form_words_on(B, lo, hi)))
+
+
+def shift_oracle(F: SetForm, j: int) -> SetForm:
+    """``h^j(F)``: its words on the window moved down by ``j``, canonicalized."""
+    return canonical_form(F.system, F.lo - j, F.hi - j, F.words)
+
+
+def equal_oracle(A: SetForm, B: SetForm) -> bool:
+    lo, hi = min(A.lo, B.lo), max(A.hi, B.hi)
+    return form_words_on(A, lo, hi) == form_words_on(B, lo, hi)
+
+
+def translates_oracle(F: SetForm, n: int) -> SetForm:
+    """``Y_n`` as a fold of unions: ``h^0 .. h^{n-1}`` of ``F`` for ``n > 0``,
+    ``h^{-1} .. h^n`` for ``n < 0``, empty for ``n = 0``."""
+    out = canonical_form(F.system, 0, 0, ())
+    for k in (range(n) if n >= 0 else range(-1, n - 1, -1)):
+        out = setop_oracle(out, shift_oracle(F, k), operator.or_)
+    return out
+
+
+def tower_unions_oracle(S) -> list:
+    """``X_0 .. X_m`` as the per-level fold ``X = X | h^j(T_l)`` over the
+    closed levels of each tower in turn."""
+    X = canonical_form(S.system, 0, 0, ())
+    out = []
+    for T, r in zip(S.bases, S.heights):
+        for j in range(r):
+            X = setop_oracle(X, shift_oracle(set_form(T), j), operator.or_)
+        out.append(X)
+    return out

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rokhlin
-from rokhlin import cli, rsh
+from rokhlin import cli, rsh, towers
 from rokhlin.cli import main
+from rokhlin.crossed import FormalElement
 from rokhlin.errors import InvariantViolated
 from rokhlin.matrixfn import MatrixCylinderFunction
 
@@ -229,6 +230,50 @@ class TestVerifyCommand:
         assert (level, mu) == (1, (0, 0))
         assert failed.detail == f"level 1, mu=[0, 0], word {word!r}"
 
+    @staticmethod
+    def _lift_reading_degree_one_as_zero(monkeypatch):
+        # planted defect: lift puts its degree-1 coefficient on degree 0; the
+        # series stays in the orbit-breaking subalgebra (degree 0 has no
+        # vanishing condition) but evaluates to another element
+        lift = rsh.lift
+
+        def wrong_degree(S, b):
+            terms = dict(lift(S, b).terms)
+            if 1 in terms:
+                moved = terms.pop(1)
+                terms[0] = terms[0] + moved if 0 in terms else moved
+            return FormalElement(S.system, terms)
+
+        monkeypatch.setattr(rsh, "lift", wrong_degree)
+
+    def test_lift_roundtrip_names_first_failing_basis_element(
+            self, pd_full, monkeypatch):
+        passed = cli.CHECKS["lift-roundtrip"]({"S": pd_full, "seed": 0})
+        slots = rsh._basis_slots(pd_full)
+        assert passed.passed
+        assert passed.detail == f"{len(slots) + 10} elements"
+        # the first unit whose lift has a degree-1 term (a unit on a
+        # boundary word is glued over and lifts to zero)
+        k = next(k for k, b in enumerate(rsh.stage_basis_elements(pd_full))
+                 if 1 in rsh.lift(pd_full, b).terms)
+        tower = slots[k][0]
+        self._lift_reading_degree_one_as_zero(monkeypatch)
+        failed = cli.CHECKS["lift-roundtrip"]({"S": pd_full, "seed": 0})
+        assert not failed.passed
+        assert failed.detail.startswith(
+            f"{len(slots) + 10} elements; element {k} (basis) differs at "
+            f"level {tower}, word ")
+
+    def test_lift_roundtrip_names_first_failing_sample(self, pd_full,
+                                                       monkeypatch):
+        monkeypatch.setattr(rsh, "stage_basis_elements", lambda S: iter(()))
+        assert cli.CHECKS["lift-roundtrip"]({"S": pd_full, "seed": 0}).passed
+        self._lift_reading_degree_one_as_zero(monkeypatch)
+        failed = cli.CHECKS["lift-roundtrip"]({"S": pd_full, "seed": 0})
+        assert not failed.passed
+        assert failed.detail.startswith(
+            "10 elements; element 0 (sample 0) differs at level ")
+
     # The planted defect above on period-doubling 0=0, run in a fresh process.
     DOUBLED_TOP = """
 from rokhlin import cli, rsh
@@ -269,6 +314,66 @@ print(cli.CHECKS["stage-membership"]({"S": S, "seed": 0}).detail)
                  "--seed", "-1")
         assert rc == 2
         assert_one_line_error(capsys)
+
+
+class TestOnePassPerCall:
+    """A call computes the return profile once, and the parser that ``main``
+    keeps from one call to the next carries nothing over."""
+
+    FIB_100 = {"system": {"alphabet": ["0", "1"], "rules": {"0": "01", "1": "0"}},
+               "y": "0=100", "seed": 0}
+
+    @staticmethod
+    def _count_profiles(monkeypatch) -> list:
+        calls = []
+        original = towers.return_profile
+
+        def counted(Y):
+            calls.append(Y)
+            return original(Y)
+
+        for name, module in list(sys.modules.items()):
+            if (name == "rokhlin" or name.startswith("rokhlin.")) and \
+                    getattr(module, "return_profile", None) is original:
+                monkeypatch.setattr(module, "return_profile", counted)
+        return calls
+
+    @pytest.mark.parametrize("command", ["towers", "verify"])
+    def test_return_profile_once_per_call(self, command, tmp_path,
+                                          monkeypatch, capsys):
+        # Y = 0=100 has disjoint translates, so rc-bound needs the profile too
+        config = tmp_path / "fibonacci_100.json"
+        config.write_text(json.dumps(self.FIB_100))
+        calls = self._count_profiles(monkeypatch)
+        for k in (1, 2):
+            assert run(command, "--config", str(config)) == 0
+            assert len(calls) == k
+
+    def test_calls_in_one_process_are_independent(self, tmp_path, capsys):
+        fib = str(CONFIGS / "fibonacci.json")
+        first, other, again = (tmp_path / f"{k}.json" for k in range(3))
+        assert run("towers", "--config", fib, "--out", str(first)) == 0
+        assert run("towers", "--config", str(CONFIGS / "thue_morse.json"),
+                   "--variant", "standard", "--y", "0=11",
+                   "--out", str(other)) == 0
+        assert run("towers", "--config", fib, "--out", str(again)) == 0
+        golden = (GOLDEN / "fibonacci_towers.json").read_bytes()
+        assert first.read_bytes() == again.read_bytes() == golden
+        report = json.loads(other.read_text())
+        assert report["variant"] == "standard"
+        assert report["rokhlin"]["Y"] == {"window": [0, 1], "words": ["11"]}
+        assert run("verify", "--config", fib, "--checks", "axioms") == 0
+        assert run("verify", "--config", fib, "--out", str(again)) == 0
+        assert again.read_bytes() == (GOLDEN / "fibonacci_verify.json").read_bytes()
+
+    def test_patched_command_is_honoured(self, monkeypatch, capsys):
+        fib = str(CONFIGS / "fibonacci.json")
+        assert run("towers", "--config", fib) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_towers",
+                            lambda args: seen.append(args.config) or 7)
+        assert run("towers", "--config", fib) == 7
+        assert seen == [fib]
 
 
 class TestDecomposeCommand:

@@ -1,5 +1,5 @@
-"""Interned languages, restriction plans, column fills and column
-arithmetic against the word-at-a-time rules they replaced
+"""Interned languages, restriction plans, column fills, column arithmetic
+and clopen-set algebra against the word-at-a-time rules they replaced
 (``tests/oracles.py``)."""
 
 import json
@@ -14,7 +14,9 @@ from oracles import (
     binary_oracle,
     compose_shift_oracle,
     conj_oracle,
+    equal_oracle,
     factor_oracle,
+    form_key,
     gamma_component_oracle,
     lift_oracle,
     project_oracle,
@@ -23,7 +25,12 @@ from oracles import (
     series_json,
     series_mul_oracle,
     series_of,
+    set_form,
+    setop_oracle,
+    shift_oracle,
     table_of,
+    tower_unions_oracle,
+    translates_oracle,
     unit_disc_oracle,
     values_on_oracle,
     vanishes_on_oracle,
@@ -321,3 +328,63 @@ class TestColumnArithmetic:
                           (project_to_subalgebra(a, Y), project_oracle(ta, Y))):
             left, right = _series_bytes(got, want)
             assert left == right
+
+
+class TestClopenSetAlgebra:
+    """Set operations, shifts, translates and tower unions equal the word-set
+    rules in ``(window, sorted words)``, so in canonical form as well."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_set_algebra_matches_word_sets(self, data):
+        system = _system(data.draw(_rules()))
+        sets = [data.draw(_cylinder_union(system)) for _ in range(2)]
+        sets += [system.full_set(), system.empty_set()]
+        for C in sets:
+            F = set_form(C)
+            for j in (-3, -1, 0, 2):
+                assert form_key(C.shift(j)) == form_key(shift_oracle(F, j))
+            for n in (-3, -1, 0, 1, 3):
+                assert (form_key(C.translates(n))
+                        == form_key(translates_oracle(F, n)))
+            for D in sets:
+                G = set_form(D)
+                for got, op in ((C & D, operator.and_), (C | D, operator.or_),
+                                (C - D, operator.sub)):
+                    assert form_key(got) == form_key(setop_oracle(F, G, op))
+                assert (C == D) is equal_oracle(F, G)
+
+    @staticmethod
+    def _assert_unions_match_fold(S):
+        want = tower_unions_oracle(S)
+        assert form_key(S.tower_union(-1)) == ((0, 0), [])
+        assert ([form_key(S.tower_union(l)) for l in range(S.m + 1)]
+                == [form_key(X) for X in want])
+
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None)
+    @given(_rules(), st.integers(1, 2), st.integers(0, 63),
+           st.sampled_from(["full", "standard"]))
+    def test_tower_unions_match_level_fold(self, rules, length, pick, variant):
+        system = _system(rules)
+        words = sorted(system.language(length))
+        Y = system.cylinder(Window(0, length - 1), words[pick % len(words)])
+        try:
+            S = build_towers(Y, variant)
+        except BoundSearchExceeded:
+            assume(False)
+        assume(max(S.heights) <= 12)
+        self._assert_unions_match_fold(S)
+
+    @pytest.mark.parametrize("rules", STANDARD_RULES)
+    def test_standard_tower_unions_match_level_fold(self, rules):
+        system = SubstitutionSystem(sorted(rules), rules)
+        for word in sorted(system.language(2))[:3]:
+            for variant in ("full", "standard"):
+                self._assert_unions_match_fold(
+                    build_towers(system.cylinder(Window(0, 1), word), variant))
+
+    def test_hand_built_tower_unions_match_level_fold(self, pd101_defects):
+        for S in pd101_defects.values():
+            self._assert_unions_match_fold(S)

@@ -9,6 +9,7 @@ from oracles import (
     return_piece_words,
 )
 from rokhlin.errors import BoundSearchExceeded, NonPrimitive, PeriodicSystem
+from rokhlin import towers
 from rokhlin.subshift import SubstitutionSystem, Window, fibonacci
 from rokhlin.towers import (
     VARIANTS,
@@ -279,6 +280,38 @@ class TestStoredData:
         S = pd101_defects["short-top"]
         with pytest.raises(ValueError):
             RokhlinSystem(S.system, S.variant, S.Y, S.bases, heights)
+
+    def test_built_system_keeps_its_profile(self, pd_y, monkeypatch):
+        calls = []
+
+        def counted(Y):
+            calls.append(Y)
+            return return_profile(Y)
+
+        monkeypatch.setattr(towers, "return_profile", counted)
+        S = build_towers(pd_y, "full")
+        assert S.profile is S.profile
+        assert verify_rokhlin_axioms(S).passed
+        assert calls == [pd_y]
+
+    def test_hand_built_system_profiles_its_own_y(self, pd101_defects):
+        for S in pd101_defects.values():
+            built = return_profile(S.Y)
+            assert S.profile is S.profile
+            assert S.profile.Y is S.Y and S.profile.bound == built.bound
+            assert S.profile.times == built.times
+            assert all(piece == want for (_, piece), (_, want)
+                       in zip(S.profile.levels, built.levels))
+
+    def test_planted_wrong_height_fails_axioms(self, pd101_defects):
+        # true heights (2, 6, 14): the middle tower's height 7 is no return
+        # time, so its top leaves Y and the profile has no fiber for it
+        S = pd101_defects["tall-middle"]
+        rep = verify_rokhlin_axioms(S)
+        assert not rep.passed
+        assert {k for k, v in rep.conditions.items() if not v} == {
+            "tops-return-to-Y", "interior-return-time-exact",
+            "height-attained-on-base"}
 
     def test_paths_are_built_once(self, rudin):
         for l in range(rudin.m + 1):
