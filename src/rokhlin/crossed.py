@@ -386,7 +386,7 @@ def gamma_component(a: FormalElement, S: RokhlinSystem, i: int) -> MatrixCylinde
         for j in _entry_ranges(n, r):
             off = f.window.lo + j - window.lo
             out[:, j, j - n] = [values[w[off : off + span]] for w in words]
-    return MatrixCylinderFunction._from_stack(T, window, words, out)
+    return MatrixCylinderFunction._from_stack(T, window, out)
 
 
 def gamma_symbolic(a: FormalElement, S: RokhlinSystem) -> list:

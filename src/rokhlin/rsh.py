@@ -40,7 +40,7 @@ from .errors import (
     NotProductWindowSet,
     PathMismatch,
 )
-from .matrixfn import MatrixCylinderFunction
+from .matrixfn import MatrixCylinderFunction, close
 from .subshift import ClopenSet, PointWindow, Window
 from .towers import AdmissiblePath, RokhlinSystem, admissible_sequences
 
@@ -86,18 +86,18 @@ def stage_from_gamma(a: FormalElement, S: RokhlinSystem) -> StageElement:
 # -- gluing maps ------------------------------------------------------------------
 
 
-def _glued_stack(path: AdmissiblePath, b: StageElement, words,
+def _glued_stack(path: AdmissiblePath, b: StageElement, indices,
                  window: Window) -> np.ndarray:
-    """The gluing along ``path`` at every point whose word on ``window`` is in
-    ``words``, stacked in that order: block ``s`` is component ``mu(s)`` read
-    ``offsets[s]`` steps along the orbit."""
+    """The gluing along ``path`` at every point whose word on ``window`` is
+    ``lexicon(window.length)[0][indices]``, stacked in that order: block
+    ``s`` is component ``mu(s)`` read ``offsets[s]`` steps along the orbit."""
     comps = [b.components[idx] for idx in path.mu]
     size = sum(comp.size for comp in comps)
-    out = np.zeros((len(words), size, size), dtype=complex)
+    out = np.zeros((len(indices), size, size), dtype=complex)
     pos = 0
     for comp, off in zip(comps, path.offsets):
         k = comp.size
-        out[:, pos : pos + k, pos : pos + k] = comp.stack(words,
+        out[:, pos : pos + k, pos : pos + k] = comp.stack(indices,
                                                           window.shift(-off))
         pos += k
     return out
@@ -115,16 +115,17 @@ def beta_path(S: RokhlinSystem, l: int, path: AdmissiblePath, b: StageElement,
         raise ValueError("need components for every tower below the path level")
     if not path.path_set.contains_point(x):
         raise PathMismatch(f"point is not in the path set of mu={path.mu}")
-    return _glued_stack(path, b, [x.word], x.window)[0]
+    index = x.system.lexicon(x.window.length)[1][x.word]
+    return _glued_stack(path, b, [index], x.window)[0]
 
 
 def _path_eval_window(path: AdmissiblePath, b: StageElement,
                       window: Window) -> Window:
     """``window`` widened to carry the path set and every glued block."""
-    w = window.hull(path.path_set.window)
-    for idx, off in zip(path.mu, path.offsets):
-        w = w.hull(b.components[idx].window.shift(off))
-    return w
+    spans = [window, path.path_set.window]
+    spans += [b.components[idx].window.shift(off)
+              for idx, off in zip(path.mu, path.offsets)]
+    return Window(min(w.lo for w in spans), max(w.hi for w in spans))
 
 
 def stage_violations(S: RokhlinSystem, b: StageElement):
@@ -144,12 +145,13 @@ def stage_violations(S: RokhlinSystem, b: StageElement):
         comp = b.components[l]
         for path in admissible_sequences(S, l):
             window = _path_eval_window(path, b, comp.window)
-            words = sorted(path.path_set.words_on(window))
-            top = comp.stack(words, window)
-            ok = np.isclose(top, _glued_stack(path, b, words, window),
-                            rtol=0.0, atol=STAGE_TOL).all(axis=(1, 2))
-            violations += [(l, path.mu, w) for w, good in zip(words, ok)
-                           if not good]
+            indices = path.path_set.indices_on(window)
+            ok = close(comp.stack(indices, window),
+                       _glued_stack(path, b, indices, window),
+                       STAGE_TOL).all(axis=(1, 2))
+            if not ok.all():
+                words = S.system.lexicon(window.length)[0][indices[~ok]]
+                violations += [(l, path.mu, w) for w in words.tolist()]
     return violations
 
 
@@ -189,41 +191,45 @@ def beta_boundary(S: RokhlinSystem, l: int,
     window = D.window
     for path in paths:
         window = _path_eval_window(path, b, window)
-    values = {}
-    origin = {}
-    for path in paths:
-        words = sorted(path.path_set.words_on(window))
-        glued = _glued_stack(path, b, words, window)
-        seen = [i for i, w in enumerate(words) if w in values]
-        if seen:
-            agree = np.isclose(np.stack([values[words[i]] for i in seen]),
-                               glued[seen], rtol=0.0,
-                               atol=STAGE_TOL).all(axis=(1, 2))
-            if not agree.all():
-                w = words[seen[agree.argmin()]]
-                raise NotInStageAlgebra(
-                    f"paths {origin[w]} and {path.mu} disagree at {w!r}",
-                    violation=(l, (origin[w], path.mu), w))
-        for w, M in zip(words, glued):
-            values.setdefault(w, M)
-            origin.setdefault(w, path.mu)
-    expected = D.words_on(window)
-    missing = expected - set(values)
-    if missing:
-        raise InvariantViolated(
-            f"boundary words not covered by any path: {sorted(missing)}")
-    values = {w: values[w] for w in expected}
-    return MatrixCylinderFunction(D, window, S.heights[l], values)
+    # the paths' words one after another; row[w] is w's first place there
+    # (filled from the last path back), whose value later paths must match
+    words = S.system.lexicon(window.length)[0]
+    per_path = [path.path_set.indices_on(window) for path in paths]
+    ends = list(accumulate(len(I) for I in per_path))
+    row = np.full(len(words), -1)
+    for end, I in zip(ends[::-1], per_path[::-1]):
+        row[I] = np.arange(end - len(I), end)
+    indices = np.concatenate([np.zeros(0, dtype=int), *per_path])
+    r = S.heights[l]
+    glued = np.concatenate([np.zeros((0, r, r), dtype=complex),
+                            *(_glued_stack(path, b, I, window)
+                              for path, I in zip(paths, per_path))])
+    first = row[indices]
+    agree = close(glued, glued[first], STAGE_TOL).all(axis=(1, 2))
+    agree |= first == np.arange(len(indices))
+    if not agree.all():
+        k = int(agree.argmin())
+        mu, nu = (paths[np.searchsorted(ends, i, "right")].mu
+                  for i in (first[k], k))
+        w = words[indices[k]]
+        raise NotInStageAlgebra(f"paths {mu} and {nu} disagree at {w!r}",
+                                violation=(l, (mu, nu), w))
+    expected = D.indices_on(window)
+    rows = row[expected]
+    if (rows < 0).any():
+        raise InvariantViolated("boundary words not covered by any path: "
+                                f"{words[expected[rows < 0]].tolist()}")
+    return MatrixCylinderFunction._from_stack(D, window, glued[rows])
 
 
 # -- constructive lifting ------------------------------------------------------------
 
 
 def _level_plan(S: RokhlinSystem, level: int, window: Window) -> tuple:
-    """``(l, j, words)`` for every interior level ``h^j(T_l^0)`` of towers
-    ``0 .. level``, its words on ``window`` sorted.  Built on the first call
-    per ``(level, window)`` and kept on ``S``; building it raises
-    ``InvariantViolated`` when two levels share a word."""
+    """``(l, j, indices)`` for every interior level ``h^j(T_l^0)`` of towers
+    ``0 .. level``: its words' ascending indices in ``lexicon(window.length)``.
+    Built on the first call per ``(level, window)`` and kept on ``S``;
+    building it raises ``InvariantViolated`` when two levels share a word."""
     key = (level, window)
     plan = S._level_plans.get(key)
     if plan is None:
@@ -231,13 +237,14 @@ def _level_plan(S: RokhlinSystem, level: int, window: Window) -> tuple:
         plan = []
         for l in range(level + 1):
             for j, L in enumerate(S.levels[l]):
-                words = sorted(L.words_on(window))
-                for w in words:
-                    if w in owner:
+                indices = L.indices_on(window)
+                for k in indices.tolist():
+                    if k in owner:
+                        w = S.system.lexicon(window.length)[0][k]
                         raise InvariantViolated(
-                            f"levels {owner[w]} and {(l, j)} overlap at {w!r}")
-                    owner[w] = (l, j)
-                plan.append((l, j, tuple(words)))
+                            f"levels {owner[k]} and {(l, j)} overlap at {w!r}")
+                    owner[k] = (l, j)
+                plan.append((l, j, indices))
         plan = S._level_plans[key] = tuple(plan)
     return plan
 
@@ -255,8 +262,9 @@ def lift(S: RokhlinSystem, b: StageElement) -> FormalElement:
     ``D_l`` are never read, so a lift carries the glued values there.
 
     Which word lies on which level is the system's level plan for this
-    stage level and window, built once; the matrices of a level are then
-    stacked, and row ``j`` and column ``j`` of each are read as two lists.
+    stage level and window, built once; row ``j`` and column ``j`` of each
+    level's stacked matrices are scattered into one column per degree.
+    Entries equal to zero are not copied, so a signed zero reads ``+0``.
     """
     violations = checked_violations(S, b)
     if violations:
@@ -265,27 +273,33 @@ def lift(S: RokhlinSystem, b: StageElement) -> FormalElement:
             f"gluing violated at level {l}, mu={mu}, word {word!r}",
             violation=violations[0])
     system = S.system
-    window = S.levels[0][0].window
-    for l, comp in enumerate(b.components):
-        for L in S.levels[l]:
-            window = window.hull(L.window)
-        window = window.hull(Window(comp.window.lo - S.heights[l] + 1,
-                                    comp.window.hi))
-    tables: dict = {}
-    for l, j, words in _level_plan(S, b.level, window):
-        blocks = b.components[l].stack(words, window.shift(j))
-        # rows[k][n] is M[j, j - n] and columns[k][n] is M[j - n, j].
-        rows = blocks[:, j, j::-1].tolist()
-        columns = blocks[:, j::-1, j].tolist()
-        for w, row, column in zip(words, rows, columns):
-            for n in range(j + 1):
-                if row[n] != 0:
-                    tables.setdefault(n, {})[w] = row[n]
-                if n and column[n] != 0:
-                    tables.setdefault(-n, {})[w] = column[n]
+    spans = [L.window for l in range(b.level + 1) for L in S.levels[l]]
+    spans += [Window(comp.window.lo - S.heights[l] + 1, comp.window.hi)
+              for l, comp in enumerate(b.components)]
+    window = Window(min(w.lo for w in spans), max(w.hi for w in spans))
+    # row top + n holds degree n; terms come in the plan's order (rank)
+    top = max(S.heights[: b.level + 1]) - 1
+    count = system.complexity(window.length)
+    columns = np.zeros((2 * top + 1, count), dtype=complex)
+    rank = np.full(count, count)
+    placed = 0
+    for l, j, I in _level_plan(S, b.level, window):
+        blocks = b.components[l].stack(I, window.shift(j))
+        # M[j, k] goes to degree j - k and M[k, j] to degree k - j
+        k = np.arange(j + 1)
+        columns[top + j - k[:, None], I] = blocks[:, j, : j + 1].T
+        columns[top - j + k[:j, None], I] = blocks[:, :j, j].T
+        rank[I] = placed + np.arange(len(I))
+        placed += len(I)
+    nonzero = columns != 0
+    first = np.where(nonzero, rank, count).min(axis=1).tolist()
+    degrees = sorted((n for n in range(-top, top + 1) if first[top + n] < count),
+                     key=lambda n: (first[top + n], abs(n), n < 0))
     a = FormalElement(system, {
-        n: CylinderFunction(system, window.shift(max(0, -n)), values)
-        for n, values in tables.items()})
+        n: CylinderFunction._from_column(
+            system, window.shift(max(0, -n)),
+            np.where(nonzero[top + n], columns[top + n], 0))
+        for n in degrees})
     if not in_ob_subalgebra(a, S.Y):
         raise InvariantViolated("lift left the orbit-breaking subalgebra")
     return a
@@ -308,11 +322,12 @@ def _repair_gluing(S: RokhlinSystem, components):
         comp = components[l]
         window = comp.window
         staged = StageElement(tuple(out))
-        values = dict(comp.values_on(window))
+        stack = comp._stack.copy()
         for path in admissible_sequences(S, l):
-            words = list(path.path_set.words_on(window))
-            values.update(zip(words, _glued_stack(path, staged, words, window)))
-        out.append(MatrixCylinderFunction(comp.base, window, comp.size, values))
+            indices = path.path_set.indices_on(window)
+            stack[comp.rows_of(indices, window)] = _glued_stack(
+                path, staged, indices, window)
+        out.append(MatrixCylinderFunction._from_stack(comp.base, window, stack))
     return StageElement(tuple(out))
 
 
@@ -322,10 +337,10 @@ def sample_stage_element(S: RokhlinSystem, rng) -> StageElement:
     components = []
     for i in range(S.m + 1):
         r = S.heights[i]
-        words = sorted(S.bases[i].words_on(windows[i]))
-        tables = _unit_disc(rng, len(words) * r * r).reshape(len(words), r, r)
-        components.append(MatrixCylinderFunction(
-            S.bases[i], windows[i], r, dict(zip(words, tables))))
+        count = len(S.bases[i].indices_on(windows[i]))
+        tables = _unit_disc(rng, count * r * r).reshape(count, r, r)
+        components.append(MatrixCylinderFunction._from_stack(
+            S.bases[i], windows[i], tables))
     return _repair_gluing(S, components)
 
 
@@ -343,16 +358,16 @@ def _basis_element(S: RokhlinSystem, i: int, word: str, j: int,
                    k: int) -> StageElement:
     """The unit ``e_{jk}`` at ``word`` of tower ``i``, repaired into the gluing."""
     windows = _stage_windows(S)
-    r = S.heights[i]
-    unit = np.zeros((r, r), dtype=complex)
-    unit[j, k] = 1.0
     components = []
     for ii in range(S.m + 1):
         rr = S.heights[ii]
-        values = {w: (unit if ii == i and w == word else np.zeros((rr, rr)))
-                  for w in S.bases[ii].words_on(windows[ii])}
-        components.append(MatrixCylinderFunction(
-            S.bases[ii], windows[ii], rr, values))
+        indices = S.bases[ii].indices_on(windows[ii])
+        stack = np.zeros((len(indices), rr, rr), dtype=complex)
+        if ii == i:
+            index = S.system.lexicon(windows[i].length)[1][word]
+            stack[np.count_nonzero(indices < index), j, k] = 1.0
+        components.append(MatrixCylinderFunction._from_stack(
+            S.bases[ii], windows[ii], stack))
     return _repair_gluing(S, components)
 
 
@@ -587,7 +602,7 @@ def phi_range_check(S: RokhlinSystem, A: ApproximatingSystem,
         for w, M in sorted(big.items()):
             key = w[off : off + I.length]
             if key in table:
-                if not np.allclose(table[key], M, rtol=0.0, atol=STAGE_TOL):
+                if not close(table[key], M, STAGE_TOL).all():
                     return PhiRangeResult(
                         ok=False,
                         reason=f"component {l} depends on coordinates outside "

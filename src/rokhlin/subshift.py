@@ -351,11 +351,11 @@ class ClopenSet:
             mask = self._mask = np.zeros(len(words), dtype=bool)
             mask[[index[w] for w in self.words]] = True
         if window == self.window:
-            return np.flatnonzero(mask)
+            return mask.nonzero()[0]
         plan = self.system.restriction(window.length,
                                        self.window.lo - window.lo,
                                        self.window.length)
-        return np.flatnonzero(mask[plan])
+        return mask[plan].nonzero()[0]
 
     def contains_point(self, p: "PointWindow") -> bool:
         if p.system is not self.system:

@@ -103,6 +103,29 @@ def _read(f, word: str, lo: int, off: int):
     return f.values[word[start : start + f.window.length]]
 
 
+def _glued_oracle(path, components, word: str, lo: int) -> np.ndarray:
+    """The block diagonal of the components ``mu[s]`` read ``offsets[s]``
+    steps along the orbit of the point whose word starts at ``lo``."""
+    blocks = [_read(components[idx], word, lo, off)
+              for idx, off in zip(path.mu, path.offsets)]
+    size = sum(B.shape[0] for B in blocks)
+    glued = np.zeros((size, size), dtype=complex)
+    pos = 0
+    for B in blocks:
+        k = B.shape[0]
+        glued[pos : pos + k, pos : pos + k] = B
+        pos += k
+    return glued
+
+
+def _path_window(path, components, window):
+    """``window`` widened to carry the path set and every glued block."""
+    window = window.hull(path.path_set.window)
+    for idx, off in zip(path.mu, path.offsets):
+        window = window.hull(components[idx].window.shift(off))
+    return window
+
+
 def gluing_violations_oracle(components, paths_by_level, tol: float = 1e-12):
     """Gluing violations ``(level, mu, word)``, found one word at a time.
 
@@ -120,18 +143,10 @@ def gluing_violations_oracle(components, paths_by_level, tol: float = 1e-12):
         for path in paths_by_level[l]:
             if path.path_set.is_empty():
                 continue
-            window = top.window.hull(path.path_set.window)
-            for idx, off in zip(path.mu, path.offsets):
-                window = window.hull(components[idx].window.shift(off))
+            window = _path_window(path, components, top.window)
             for word in sorted(path.path_set.words_on(window)):
                 want = _read(top, word, window.lo, 0)
-                glued = np.zeros(want.shape, dtype=complex)
-                pos = 0
-                for idx, off in zip(path.mu, path.offsets):
-                    block = _read(components[idx], word, window.lo, off)
-                    k = block.shape[0]
-                    glued[pos : pos + k, pos : pos + k] = block
-                    pos += k
+                glued = _glued_oracle(path, components, word, window.lo)
                 if not np.allclose(want, glued, rtol=0.0, atol=tol):
                     found.append((l, path.mu, word))
     return found
@@ -562,3 +577,97 @@ def tower_unions_oracle(S) -> list:
             X = setop_oracle(X, shift_oracle(set_form(T), j), operator.or_)
         out.append(X)
     return out
+
+
+# -- word-table matrix functions and stage routines ----------------------------
+#
+# The word -> matrix forms that the library replaced with one read-only
+# ``(words, size, size)`` stack per matrix function, read through restriction
+# plans: a function is its ``values`` table (``MatrixTable``), read one word
+# at a time at the word's slice on the function's window.  Tables come back
+# as ``(window, {word: matrix})`` and are compared with the library's as
+# bytes, signed zeros included.
+
+
+class MatrixTable(NamedTuple):
+    base: object
+    window: object
+    size: int
+    values: dict
+
+
+def matrix_table_of(f) -> MatrixTable:
+    """The stored table of a library matrix function."""
+    return MatrixTable(f.base, f.window, f.size, dict(f.values))
+
+
+def matrix_value_oracle(f, word: str, window) -> np.ndarray:
+    """``f`` at the point whose word on ``window`` is ``word``."""
+    if not window.contains(f.window):
+        raise ValueError(f"{window} does not cover {f.window}")
+    return _read(f, word, window.lo, 0)
+
+
+def matrix_stack_oracle(f, words, window) -> np.ndarray:
+    """``f`` at each of ``words`` on ``window``, stacked in that order."""
+    return np.array([matrix_value_oracle(f, w, window) for w in words],
+                    dtype=complex).reshape(len(words), f.size, f.size)
+
+
+def matrix_values_on_oracle(f, window) -> dict:
+    """``f`` at every word of its base on a covering window, in word order."""
+    return {w: matrix_value_oracle(f, w, window)
+            for w in sorted(words_on_oracle(f.base, window))}
+
+
+def matrix_restrict_oracle(f, subset) -> tuple:
+    """``(window, table)`` of ``f`` restricted to ``subset``: on the hull of
+    both windows, ``f`` at every word of ``subset``."""
+    window = f.window.hull(subset.window)
+    return window, {w: matrix_value_oracle(f, w, window)
+                    for w in sorted(words_on_oracle(subset, window))}
+
+
+def beta_boundary_oracle(D, paths, components, tol: float = 1e-12) -> tuple:
+    """``(window, table)`` of the glued boundary function on ``D``: on the
+    narrowest window that carries every path set and glued block, the paths
+    glue their words in path order, least word first, and a word keeps the
+    value of the first path that reaches it; a later path that differs
+    beyond ``tol`` raises ``ValueError`` naming both paths and the word."""
+    window = D.window
+    for path in paths:
+        window = _path_window(path, components, window)
+    values, origin = {}, {}
+    for path in paths:
+        for word in sorted(words_on_oracle(path.path_set, window)):
+            M = _glued_oracle(path, components, word, window.lo)
+            if word not in values:
+                values[word], origin[word] = M, path.mu
+            elif not np.allclose(values[word], M, rtol=0.0, atol=tol):
+                raise ValueError(
+                    f"paths {origin[word]} and {path.mu} disagree at {word!r}")
+    return window, {w: values[w] for w in sorted(words_on_oracle(D, window))}
+
+
+def repair_gluing_oracle(components, paths_by_level) -> list:
+    """Each component's ``MatrixTable`` overwritten on its path sets with the
+    glued value of the components already repaired, path after path, so
+    where path sets overlap the last path's value stays."""
+    out = []
+    for l, comp in enumerate(components):
+        table = dict(comp.values)
+        for path in paths_by_level[l] if l else ():
+            for word in words_on_oracle(path.path_set, comp.window):
+                table[word] = _glued_oracle(path, out, word, comp.window.lo)
+        out.append(MatrixTable(comp.base, comp.window, comp.size, table))
+    return out
+
+
+def lift_series_oracle(S, b) -> dict:
+    """``lift_oracle`` as a series of ``Table``s, in its degree order: every
+    word of the window's language, zero where the lift writes nothing, so
+    ``series_json`` has the shape of ``FormalElement.to_json``."""
+    return {n: Table(S.system, window,
+                     {w: values.get(w, 0j)
+                      for w in sorted(S.system.language(window.length))})
+            for n, (window, values) in lift_oracle(S, b).items()}

@@ -303,6 +303,40 @@ print(cli.CHECKS["stage-membership"]({"S": S, "seed": 0}).detail)
         assert len(details) == 1
         assert details.pop().startswith("level 1, mu=[0, 0], word ")
 
+    def test_gamma_agreement_fails_on_a_neighbouring_row(self, pd_full,
+                                                         monkeypatch):
+        # planted defect: a matrix function's value at a word is read from
+        # the next row of its stack, so the symbolic evaluation no longer
+        # matches the pointwise one
+        assert cli.CHECKS["gamma-agreement"]({"S": pd_full, "seed": 0}).passed
+
+        def neighbour(self, word, window):
+            index = self.base.system.lexicon(window.length)[1][word]
+            row = self.rows_of([index], window)[0]
+            return self._stack[(row + 1) % len(self._stack)]
+
+        monkeypatch.setattr(MatrixCylinderFunction, "value", neighbour)
+        failed = cli.CHECKS["gamma-agreement"]({"S": pd_full, "seed": 0})
+        assert not failed.passed and failed.deviation > 1e-12
+
+    def test_pullback_fails_on_a_moved_boundary_value(self, pd_full,
+                                                      monkeypatch):
+        # planted defect: restricting to a boundary moves the first boundary
+        # word's matrix by 1e-9, beyond the 1e-12 gluing tolerance
+        assert cli.CHECKS["pullback"]({"S": pd_full, "seed": 0}).passed
+        restrict = MatrixCylinderFunction.restrict
+
+        def moved(self, subset):
+            f = restrict(self, subset)
+            stack = f._stack.copy()
+            stack[0, 0, 0] += 1e-9
+            return MatrixCylinderFunction._from_stack(f.base, f.window, stack)
+
+        monkeypatch.setattr(MatrixCylinderFunction, "restrict", moved)
+        failed = cli.CHECKS["pullback"]({"S": pd_full, "seed": 0})
+        assert not failed.passed
+        assert failed.detail == "boundary_compatible"
+
     def test_unknown_check_exit_two(self, capsys):
         rc = run("verify", "--config", str(CONFIGS / "fibonacci.json"),
                  "--checks", "axioms,nonsense")

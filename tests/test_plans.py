@@ -1,6 +1,7 @@
-"""Interned languages, restriction plans, column fills, column arithmetic
-and clopen-set algebra against the word-at-a-time rules they replaced
-(``tests/oracles.py``)."""
+"""Interned languages, restriction plans, column fills, column arithmetic,
+clopen-set algebra, matrix stacks and the stage routines against the
+word-at-a-time rules they replaced (``tests/oracles.py``), and the close
+test against ``np.isclose``."""
 
 import json
 import operator
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
     allclose_oracle,
+    beta_boundary_oracle,
     binary_oracle,
     compose_shift_oracle,
     conj_oracle,
@@ -19,7 +21,14 @@ from oracles import (
     form_key,
     gamma_component_oracle,
     lift_oracle,
+    lift_series_oracle,
+    matrix_restrict_oracle,
+    matrix_stack_oracle,
+    matrix_table_of,
+    matrix_value_oracle,
+    matrix_values_on_oracle,
     project_oracle,
+    repair_gluing_oracle,
     scale_oracle,
     series_adjoint_oracle,
     series_json,
@@ -44,11 +53,24 @@ from rokhlin.crossed import (
     project_to_subalgebra,
     sample_subalgebra_element,
 )
-from rokhlin.errors import BoundSearchExceeded, NonPrimitive, PeriodicSystem
-from rokhlin.matrixfn import MatrixCylinderFunction
-from rokhlin.rsh import lift, sample_stage_element, stage_from_gamma
+from rokhlin.errors import (
+    BoundSearchExceeded,
+    NonPrimitive,
+    PathMismatch,
+    PeriodicSystem,
+)
+from rokhlin.matrixfn import MatrixCylinderFunction, close
+from rokhlin.rsh import (
+    StageElement,
+    _repair_gluing,
+    _stage_windows,
+    beta_boundary,
+    lift,
+    sample_stage_element,
+    stage_from_gamma,
+)
 from rokhlin.subshift import ClopenSet, SubstitutionSystem, Window
-from rokhlin.towers import build_towers
+from rokhlin.towers import admissible_sequences, build_towers
 
 STANDARD_RULES = [
     {"0": "01", "1": "0"},
@@ -388,3 +410,174 @@ class TestClopenSetAlgebra:
     def test_hand_built_tower_unions_match_level_fold(self, pd101_defects):
         for S in pd101_defects.values():
             self._assert_unions_match_fold(S)
+
+
+def _table_of_matrices(table: dict) -> bytes:
+    """A word -> matrix table as bytes, word after word in sorted order,
+    signed zeros and every bit of each entry included."""
+    return b"".join(w.encode() + np.asarray(M, dtype=complex).tobytes()
+                    for w, M in sorted(table.items()))
+
+
+def _rewritten(b: StageElement, rewrite) -> StageElement:
+    """``b`` with every matrix replaced by ``rewrite`` of a writable copy."""
+    return StageElement(tuple(
+        MatrixCylinderFunction(f.base, f.window, f.size,
+                               {w: rewrite(M.copy()) for w, M in f.values.items()})
+        for f in b.components))
+
+
+def _free_components(S, rng) -> list:
+    """Random components over the stage windows, not yet glued: normal
+    entries, a third of them signed zeros in both parts and a sixth real
+    with a signed zero imaginary part."""
+    out = []
+    for T, window, r in zip(S.bases, _stage_windows(S), S.heights):
+        table = {}
+        for w in sorted(words_on_oracle(T, window)):
+            re, im = rng.standard_normal((2, r, r))
+            kind = rng.integers(6, size=(r, r))
+            re[kind < 2] = np.copysign(0.0, rng.standard_normal(r * r)).reshape(r, r)[kind < 2]
+            im[kind < 3] = np.copysign(0.0, rng.standard_normal(r * r)).reshape(r, r)[kind < 3]
+            M = table[w] = np.empty((r, r), dtype=complex)
+            M.real, M.imag = re, im
+        out.append(MatrixCylinderFunction(T, window, r, table))
+    return out
+
+
+def _stage_elements(S, free, rng) -> list:
+    """The free components repaired into the gluing, so signed zeros sit
+    where lift reads; the same moved by about 1e-14 per entry, so that
+    overlapping paths glue values that differ in their last bits; and a
+    sparse element from the evaluation with random signs on its zero parts.
+    All three are stage elements: -0.0 equals 0.0, and 1e-14 is inside the
+    gluing tolerance."""
+    def signed(M):
+        for part in (M.real, M.imag):
+            part[(part == 0) & (rng.random(M.shape) < 0.5)] = -0.0
+        return M
+
+    def nudged(M):
+        return M + 1e-14 * (rng.standard_normal(M.shape)
+                            + 1j * rng.standard_normal(M.shape))
+
+    a = sample_subalgebra_element(S.system, S.Y, rng, max(S.heights) + 1,
+                                  max_support=2)
+    repaired = _repair_gluing(S, free)
+    return [repaired, _rewritten(repaired, nudged),
+            _rewritten(stage_from_gamma(a, S), signed)]
+
+
+class TestStageTables:
+    """Reads of a matrix function's stack, its restrictions, the glued
+    boundaries, the gluing repair and ``lift`` equal the word-table rules
+    byte for byte, signed zeros included: a row map or a plan offset that
+    is off, a boundary where the last path wins, or a lift that copies a
+    signed zero each fail here."""
+
+    @staticmethod
+    def _assert_reads_match(S, l, f, rng):
+        t = matrix_table_of(f)
+        wide = Window(f.window.lo - int(rng.integers(3)),
+                      f.window.hi + int(rng.integers(3)))
+        words = sorted(words_on_oracle(f.base, wide))
+        index = S.system.lexicon(wide.length)[1]
+        picked = [words[int(k)] for k in rng.integers(len(words), size=6)]
+        got = f.stack(np.array([index[w] for w in picked], dtype=int), wide)
+        assert _bitwise(got, matrix_stack_oracle(t, picked, wide))
+        for w in picked[:2]:
+            assert _bitwise(f.value(w, wide), matrix_value_oracle(t, w, wide))
+        assert (_table_of_matrices(f.values_on(wide))
+                == _table_of_matrices(matrix_values_on_oracle(t, wide)))
+        off_base = sorted(set(S.system.language(wide.length)) - set(words))
+        if off_base:
+            with pytest.raises(PathMismatch):
+                f.stack(np.array([index[off_base[0]]]), wide)
+        subsets = [S.boundaries[l]]
+        subsets += [path.path_set for path in admissible_sequences(S, l)]
+        for subset in subsets:
+            got = f.restrict(subset)
+            window, want = matrix_restrict_oracle(t, subset)
+            assert got.window == window
+            assert _table_of_matrices(got.values) == _table_of_matrices(want)
+
+    def _assert_tables_match(self, S, seed):
+        rng = np.random.default_rng(seed)
+        paths = [admissible_sequences(S, l) for l in range(S.m + 1)]
+        free = _free_components(S, rng)
+        want = repair_gluing_oracle([matrix_table_of(f) for f in free], paths)
+        for got, t in zip(_repair_gluing(S, free).components, want):
+            assert got.window == t.window
+            assert _table_of_matrices(got.values) == _table_of_matrices(t.values)
+        for b in _stage_elements(S, free, rng):
+            tables = [matrix_table_of(f) for f in b.components]
+            for l, f in enumerate(b.components):
+                self._assert_reads_match(S, l, f, rng)
+            for l in range(1, S.m + 1):
+                D = S.boundaries[l]
+                if D.is_empty():
+                    continue
+                got = beta_boundary(S, l, b)
+                window, want = beta_boundary_oracle(D, paths[l], tables)
+                assert got.window == window
+                assert _table_of_matrices(got.values) == _table_of_matrices(want)
+            a = lift(S, b)
+            want = lift_series_oracle(S, b)
+            assert list(a.terms) == list(want)
+            left, right = _series_bytes(a, want)
+            assert left == right
+
+    @settings(max_examples=20, deadline=None, derandomize=True,
+              database=None)
+    @given(_rules(), st.integers(1, 2), st.integers(0, 63),
+           st.sampled_from(["full", "standard"]), st.integers(0, 2**32 - 1))
+    def test_drawn_systems_match_word_tables(self, rules, length, pick,
+                                             variant, seed):
+        system = _system(rules)
+        words = sorted(system.language(length))
+        Y = system.cylinder(Window(0, length - 1), words[pick % len(words)])
+        try:
+            S = build_towers(Y, variant)
+        except BoundSearchExceeded:
+            assume(False)
+        assume(max(S.heights) <= 12)
+        self._assert_tables_match(S, seed)
+
+    def test_word_reads_build_no_plan(self, rudin):
+        # word reads on fresh windows, as the evaluate operations make them,
+        # use the table and no restriction plan
+        rng = np.random.default_rng(3)
+        a = sample_subalgebra_element(rudin.system, rudin.Y, rng,
+                                      max(rudin.heights) + 1)
+        comps = [gamma_component(a, rudin, i) for i in range(rudin.m + 1)]
+        kept = len(rudin.system._restrictions)
+        for f in comps:
+            wide = Window(f.window.lo - 2, f.window.hi + 1)
+            word = sorted(words_on_oracle(f.base, wide))[0]
+            assert f.value(word, wide) is f.values[
+                word[2 : 2 + f.window.length]]
+        assert len(rudin.system._restrictions) == kept
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_overlapping_paths_match_word_tables(self, rudin, seed):
+        # Rudin-Shapiro has boundary words on several paths, so the first
+        # path's value and the last one's differ on the nudged sample
+        self._assert_tables_match(rudin, seed)
+
+
+class TestCloseTest:
+    """``matrixfn.close`` is ``np.isclose(a, b, rtol=0, atol=atol)`` at
+    every pair of complex values built from signed zeros, infinities, NaN
+    and differences exactly at ``atol`` and one ulp beyond it."""
+
+    @pytest.mark.parametrize("atol", [0.0, 1e-12, 1e-9])
+    def test_matches_isclose_entry_for_entry(self, atol):
+        parts = [0.0, -0.0, 1.0, -1.0, 1e-13, float("inf"), float("-inf"),
+                 float("nan"), atol, -atol, np.nextafter(atol, np.inf),
+                 1.0 + atol, np.nextafter(1.0 + atol, np.inf)]
+        values = np.array([complex(re, im) for re in parts for im in parts])
+        a, b = np.meshgrid(values, values)
+        got = close(a, b, atol)
+        want = np.isclose(a, b, rtol=0.0, atol=atol)
+        assert got.dtype == bool and got.shape == want.shape
+        assert np.array_equal(got, want)
