@@ -496,9 +496,10 @@ def cmd_rc_bound(args) -> int:
     cfg = load_config(args)
     if args.dim is None or args.dim < 0:
         raise ConfigError("--dim must be a nonnegative integer")
-    if args.mdim is not None and not (np.isfinite(args.mdim)
-                                      and args.mdim >= 0):
-        raise ConfigError("--mdim must be finite and nonnegative")
+    try:
+        headline = None if args.mdim is None else cuntz.headline_bound(args.mdim)
+    except ValueError as e:
+        raise ConfigError(f"--mdim: {e}") from None
     try:
         lo, hi = args.window.split(":", 1)
         window = Window(int(lo), int(hi))
@@ -512,8 +513,8 @@ def cmd_rc_bound(args) -> int:
     print(f"bound: {report.bound:.6f}  "
           f"(separation {'verified' if report.separation_verified else 'not verified'})")
     out = report.to_json()
-    if args.mdim is not None:
-        value, d = cuntz.headline_bound(args.mdim)
+    if headline is not None:
+        value, d = headline
         print(f"headline: 1 + 36*mdim = {value:.6f}; least admissible integer "
               f"dimension {d}")
         out["headline"] = {"value": value, "least_dim": d}

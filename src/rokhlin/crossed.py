@@ -583,8 +583,8 @@ def approximate_with_vanishing(f: CylinderFunction, B: ClopenSet, I: Window,
     """Approximate ``f`` by a function of the coordinates in ``I`` only that
     vanishes on ``B``.
 
-    The candidate takes the value of ``f`` at an arbitrary admissible
-    extension of the ``I``-word and is cut to zero on the projection of ``B``;
+    The candidate takes the value of ``f`` at the least admissible extension
+    of the ``I``-word and is cut to zero on the projection of ``B``;
     the projection of a vanishing set keeps zero among each affected fiber's
     values, so the achieved error is bounded by the largest oscillation of
     ``f`` over a fiber.  Raises when the requested accuracy is not achievable
@@ -598,21 +598,18 @@ def approximate_with_vanishing(f: CylinderFunction, B: ClopenSet, I: Window,
     hull = I.hull(f.window)
     if not B.is_empty():
         hull = hull.hull(B.window)
-    f_table = f.values_on(hull)
-    off_i = I.lo - hull.lo
-    dead = {w[off_i : off_i + I.length] for w in B.words_on(hull)}
-    projected = {}
-    for w in sorted(system.language(hull.length)):
-        key = w[off_i : off_i + I.length]
-        if key not in projected:
-            projected[key] = 0.0 if key in dead else f_table[w]
-    err = max(abs(projected[w[off_i : off_i + I.length]] - f_table[w])
-              for w in f_table)
+    column = f.column_on(hull)
+    first, inverse = system.fibers(hull, I, np.arange(len(column)),
+                                   np.arange(system.complexity(I.length)))
+    projected = column[first]
+    projected[inverse[B.indices_on(hull)]] = 0.0
+    err = CylinderFunction._from_column(system, hull,
+                                        projected[inverse] - column).sup_norm()
     if err >= eps:
         raise WindowTooSmall(
             f"achievable error {err:.6g} does not beat eps={eps:.6g}",
             achievable=err)
-    return CylinderFunction(system, I, projected)
+    return CylinderFunction._from_column(system, I, projected)
 
 
 def approximate_by_window_constant(a: FormalElement, z: PointWindow,

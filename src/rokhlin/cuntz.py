@@ -1,22 +1,24 @@
 """Cuntz comparison over finite discrete bases and comparison-radius arithmetic.
 
-Positive matrix-valued functions over a finite set of words are compared by
-pointwise rank domination; the spectral cutoff and the witness criterion
-``(n+1) eta + m <unit> <= n mu  implies  eta <= mu`` provide the desk-scale
-content of the comparison-radius machinery, and the bound arithmetic turns
-tower heights plus a declared base-space dimension into the per-level values
-``((window_length + r_l) d - 1) / (2 r_l)``.
+Positive matrix-valued functions over a finite set of words (one read-only
+``(words, size, size)`` stack each) are compared by pointwise rank
+domination, one rule for every caller; the spectral cutoff and the witness
+criterion ``(n+1) eta + m <unit> <= n mu  implies  eta <= mu`` provide the
+desk-scale content of the comparison-radius machinery, and the bound
+arithmetic turns tower heights plus a declared base-space dimension into the
+per-level values ``((window_length + r_l) d - 1) / (2 r_l)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import BaseMismatch, InvariantViolated, NotHermitian
-from .matrixfn import block_diagonal
+from .matrixfn import stack_table
 from .subshift import ClopenSet, Window
 from .towers import RokhlinSystem, return_profile
 
@@ -26,77 +28,93 @@ RANK_TOL = 1e-8
 
 
 class PositiveElement:
-    """Positive-semidefinite matrix per word of a finite discrete base."""
+    """Positive-semidefinite matrix per word of a finite discrete base: one
+    read-only stack ``(words, size, size)`` in base order, by word in ``values``."""
 
-    __slots__ = ("base", "size", "values")
+    __slots__ = ("base", "size", "values", "_stack")
 
     def __init__(self, base, size: int, values: dict):
         base = tuple(base)
         if set(values) != set(base):
             raise ValueError("need exactly one matrix per base word")
-        table = {}
-        for w in base:
-            A = np.array(values[w], dtype=complex)
-            if A.shape != (size, size):
-                raise ValueError(f"matrix for {w!r} has shape {A.shape}")
-            if not np.isfinite(A).all():
-                raise NotHermitian(f"matrix at {w!r} has a non-finite entry")
-            if float(np.max(np.abs(A - A.conj().T), initial=0.0)) > HERMITIAN_TOL:
-                raise NotHermitian(f"matrix at {w!r} is not Hermitian")
-            if float(np.min(np.linalg.eigvalsh(A))) < PSD_EIG_TOL:
-                raise NotHermitian(f"matrix at {w!r} has a negative eigenvalue")
-            A.setflags(write=False)
-            table[w] = A
-        self.base = base
-        self.size = size
-        self.values = table
+        self._set(base, stack_table(base, size, values))
+
+    def _set(self, base: tuple, stack: np.ndarray) -> "PositiveElement":
+        """Keep ``stack`` if every row passes, else name the first bad word."""
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        safe = np.where(finite[:, None, None], stack, 0.0)
+        asym = np.abs(safe - safe.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
+        least = np.linalg.eigvalsh(safe).min(axis=1, initial=np.inf)
+        failed = np.stack([~finite, asym > HERMITIAN_TOL, least < PSD_EIG_TOL], axis=1)
+        if failed.any():
+            k, test = divmod(int(failed.argmax()), 3)
+            raise NotHermitian(f"matrix at {base[k]!r} " + ("has a non-finite entry",
+                               "is not Hermitian", "has a negative eigenvalue")[test])
+        stack.setflags(write=False)
+        self.base, self.size, self._stack = base, stack.shape[1], stack
+        self.values = MappingProxyType(dict(zip(base, stack)))
+        return self
+
+    @classmethod
+    def _from_stack(cls, base: tuple, stack: np.ndarray) -> "PositiveElement":
+        """The element with the rows of ``stack`` (checked, made read-only)."""
+        return cls.__new__(cls)._set(base, stack)
 
     @classmethod
     def from_ranks(cls, base, size: int, ranks: dict) -> "PositiveElement":
         """Diagonal projections with prescribed pointwise ranks."""
-        values = {}
-        for w in base:
-            r = int(ranks[w])
-            if not (0 <= r <= size):
-                raise ValueError(f"rank {r} out of range for size {size}")
-            values[w] = np.diag([1.0] * r + [0.0] * (size - r))
-        return cls(base, size, values)
+        base = tuple(base)
+        r = np.array([int(ranks[w]) for w in base], dtype=int)
+        out = (r < 0) | (r > size)
+        if out.any():
+            raise ValueError(f"rank {r[out.argmax()]} out of range for size {size}")
+        stack = np.zeros((len(base), size, size), dtype=complex)
+        stack[:, range(size), range(size)] = np.arange(size) < r[:, None]
+        return cls._from_stack(base, stack)
 
     def pad_to(self, size: int) -> "PositiveElement":
         if size < self.size:
             raise ValueError("can only pad to a larger size")
         if size == self.size:
             return self
-        pad = np.zeros((size - self.size, size - self.size))
-        return PositiveElement(self.base, size,
-                               {w: block_diagonal([A, pad])
-                                for w, A in self.values.items()})
+        stack = np.zeros((len(self.base), size, size), dtype=complex)
+        stack[:, : self.size, : self.size] = self._stack
+        return PositiveElement._from_stack(self.base, stack)
 
     def direct_sum(self, other: "PositiveElement") -> "PositiveElement":
         if self.base != other.base:
             raise BaseMismatch("direct sum needs a common base")
-        return PositiveElement(self.base, self.size + other.size,
-                               {w: block_diagonal([self.values[w], other.values[w]])
-                                for w in self.base})
+        s, size = self.size, self.size + other.size
+        stack = np.zeros((len(self.base), size, size), dtype=complex)
+        stack[:, :s, :s], stack[:, s:, s:] = self._stack, other._stack
+        return PositiveElement._from_stack(self.base, stack)
 
     def distance(self, other: "PositiveElement") -> float:
         if self.base != other.base or self.size != other.size:
             raise BaseMismatch("distance needs matching base and size")
-        return max(float(np.linalg.norm(self.values[w] - other.values[w], 2))
-                   for w in self.base)
+        return float(np.linalg.norm(self._stack - other._stack, 2,
+                                    axis=(1, 2)).max(initial=0.0))
 
     def rank_profile(self) -> dict:
-        return {w: matrix_rank(A) for w, A in self.values.items()}
+        return dict(zip(self.base, _ranks(self._stack).tolist()))
 
     def __repr__(self):
         return f"PositiveElement(size={self.size}, words={len(self.base)})"
 
 
+def _ranks(A: np.ndarray) -> np.ndarray:
+    """Count of singular values above ``RANK_TOL`` of each matrix in ``A``."""
+    return (np.linalg.svd(A, compute_uv=False) > RANK_TOL).sum(axis=-1)
+
+
 def matrix_rank(A: np.ndarray) -> int:
     """Count of singular values above ``RANK_TOL``."""
-    if A.size == 0:
-        return 0
-    return int(np.sum(np.linalg.svd(A, compute_uv=False) > RANK_TOL))
+    return int(_ranks(np.asarray(A)))
+
+
+def _dominates(upper, lower) -> bool:
+    """Pointwise rank domination: ``upper >= lower`` at every word."""
+    return bool((np.asarray(upper) >= lower).all())
 
 
 @dataclass(frozen=True)
@@ -114,8 +132,8 @@ class CuntzClass:
     def __le__(self, other: "CuntzClass") -> bool:
         if set(self.rank_profile) != set(other.rank_profile):
             raise BaseMismatch("comparison needs a common base")
-        return all(self.rank_profile[w] <= other.rank_profile[w]
-                   for w in self.rank_profile)
+        return _dominates([other.rank_profile[w] for w in self.rank_profile],
+                          list(self.rank_profile.values()))
 
 
 def eps_cut(a: PositiveElement, eps: float) -> PositiveElement:
@@ -123,24 +141,17 @@ def eps_cut(a: PositiveElement, eps: float) -> PositiveElement:
     clipping at zero.  Moves the element by at most ``eps`` in norm."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    values = {}
-    for w, A in a.values.items():
-        lam, V = np.linalg.eigh(A)
-        cut = np.maximum(lam - eps, 0.0)
-        values[w] = (V * cut) @ V.conj().T
-    return PositiveElement(a.base, a.size, values)
+    lam, V = np.linalg.eigh(a._stack)
+    cut = np.maximum(lam - eps, 0.0)
+    return PositiveElement._from_stack(
+        a.base, (V * cut[:, None, :]) @ V.conj().swapaxes(1, 2))
 
 
 def cuntz_leq(a: PositiveElement, b: PositiveElement) -> bool:
     """Pointwise rank domination, the exact comparison over a finite base."""
     if a.base != b.base:
         raise BaseMismatch("comparison needs a common base")
-    size = max(a.size, b.size)
-    a = a.pad_to(size)
-    b = b.pad_to(size)
-    ra = a.rank_profile()
-    rb = b.rank_profile()
-    return all(ra[w] <= rb[w] for w in a.base)
+    return _dominates(_ranks(b._stack), _ranks(a._stack))
 
 
 def rc_witness_test(n: int, m: int, eta: PositiveElement,
@@ -148,7 +159,7 @@ def rc_witness_test(n: int, m: int, eta: PositiveElement,
     """The rank-surplus implication behind the comparison radius.
 
     When ``(n+1) rank(eta) + m * size <= n rank(mu)`` holds at every word, the
-    comparison ``eta <= mu`` (rank domination on the same padded profiles)
+    comparison ``eta <= mu`` (rank domination; ``size`` is the larger one)
     must follow; returns whether the implication held
     (vacuously true when the hypothesis fails).  Over a finite discrete base
     this can never be falsified, which certifies comparison radius zero.
@@ -157,15 +168,11 @@ def rc_witness_test(n: int, m: int, eta: PositiveElement,
         raise ValueError("need n >= 1 and m >= 0")
     if eta.base != mu.base:
         raise BaseMismatch("witness test needs a common base")
-    size = max(eta.size, mu.size)
-    eta = eta.pad_to(size)
-    mu = mu.pad_to(size)
-    re = eta.rank_profile()
-    rm = mu.rank_profile()
-    hypothesis = all((n + 1) * re[w] + m * size <= n * rm[w] for w in eta.base)
-    if not hypothesis:
+    # Python integers, so that a large n or m cannot wrap around
+    re, rm = (_ranks(x._stack).astype(object) for x in (eta, mu))
+    if not _dominates(n * rm, (n + 1) * re + m * max(eta.size, mu.size)):
         return True
-    return all(re[w] <= rm[w] for w in eta.base)
+    return _dominates(rm, re)
 
 
 @dataclass(frozen=True)
@@ -245,8 +252,7 @@ def rc_upper_bound(S: RokhlinSystem, window: Window,
 
 def headline_bound(mdim: float):
     """The pair ``(1 + 36 * mdim, least integer above 36 * mdim)``."""
-    if not (np.isfinite(mdim) and mdim >= 0):
-        raise ValueError("mean dimension must be finite and nonnegative")
-    value = 1.0 + 36.0 * mdim
-    d = int(np.floor(36.0 * mdim)) + 1
-    return value, d
+    scaled = 36.0 * float(mdim)
+    if not (mdim >= 0 and np.isfinite(scaled)):
+        raise ValueError("mean dimension must be nonnegative, with 36 * mdim finite")
+    return 1.0 + scaled, int(np.floor(scaled)) + 1

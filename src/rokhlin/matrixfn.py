@@ -6,7 +6,8 @@ window.  Values are exact data (copied, never interpolated); all comparisons
 downstream are therefore bitwise or at the 1e-12 copy tolerance (``close``).
 The table is one read-only ``(words, size, size)`` stack, a row per base
 word on the window in sorted order; ``stack`` gathers rows for lexicon
-indices through the system's restriction plans.
+indices through the system's restriction plans; ``_from_stack`` takes a
+filled stack as it is, so only input tables are stacked (``stack_table``).
 """
 
 from __future__ import annotations
@@ -26,16 +27,16 @@ def close(a, b, atol: float) -> np.ndarray:
         return (np.abs(a - b) <= atol) & np.isfinite(b) | (a == b)
 
 
-def block_diagonal(blocks) -> np.ndarray:
-    """The complex block-diagonal matrix with the given square blocks, in order."""
-    size = sum(B.shape[0] for B in blocks)
-    out = np.zeros((size, size), dtype=complex)
-    offset = 0
-    for B in blocks:
-        k = B.shape[0]
-        out[offset : offset + k, offset : offset + k] = B
-        offset += k
-    return out
+def stack_table(words, size: int, values) -> np.ndarray:
+    """The matrices ``values[w]``, ``w`` in ``words``, as one complex
+    ``(len(words), size, size)`` array; the first of another shape raises."""
+    stack = np.empty((len(words), size, size), dtype=complex)
+    for k, w in enumerate(words):
+        A = np.asarray(values[w], dtype=complex)
+        if A.shape != (size, size):
+            raise ValueError(f"matrix for {w!r} has shape {A.shape}")
+        stack[k] = A
+    return stack
 
 
 class MatrixCylinderFunction:
@@ -52,12 +53,7 @@ class MatrixCylinderFunction:
             extra = set(values) - expected
             raise ValueError(
                 f"value table mismatch (missing {len(missing)}, extra {len(extra)})")
-        stack = np.empty((len(expected), size, size), dtype=complex)
-        for k, w in enumerate(sorted(expected)):
-            A = np.asarray(values[w], dtype=complex)
-            if A.shape != (size, size):
-                raise ValueError(f"matrix for {w!r} has shape {A.shape}")
-            stack[k] = A
+        stack = stack_table(sorted(expected), size, values)
         stack.setflags(write=False)
         self.base, self.window, self.size, self._stack = base, window, size, stack
 

@@ -15,7 +15,7 @@ An approximating system replaces each base by its projection onto the
 coordinates ``[n1, n2 + r_l]`` when the underlying set is a product over
 ``[n1, n2]``; the index-shift maps on projections commute with the dynamics.
 Its gluing is the stage gluing read on those windows: ``phi_range_check``
-wraps the factored tables as a stage element and runs ``stage_violations``.
+wraps the factored stacks as a stage element and runs ``stage_violations``.
 """
 
 from __future__ import annotations
@@ -591,36 +591,24 @@ def phi_range_check(S: RokhlinSystem, A: ApproximatingSystem,
     window lies inside ``proj_windows[l]``, so ``stage_violations`` reads
     exactly the words of ``A.path_images[(l, mu)]``.
     """
-    comps = gamma_symbolic(a, S)
-    tables = []
-    for l, comp in enumerate(comps):
+    components = []
+    for l, comp in enumerate(gamma_symbolic(a, S)):
         I = A.proj_windows[l]
         V = comp.window.hull(I)
-        big = comp.values_on(V)
-        off = I.lo - V.lo
-        table: dict = {}
-        for w, M in sorted(big.items()):
-            key = w[off : off + I.length]
-            if key in table:
-                if not close(table[key], M, STAGE_TOL).all():
-                    return PhiRangeResult(
-                        ok=False,
-                        reason=f"component {l} depends on coordinates outside "
-                               f"[{I.lo}, {I.hi}]",
-                        preimage=None)
-            else:
-                table[key] = M
-        tables.append(table)
+        indices = comp.base.indices_on(V)
+        rows = comp.stack(indices, V)
+        first, inverse = S.system.fibers(V, I, indices, S.bases[l].indices_on(I))
+        same = close(rows[first[inverse]], rows, STAGE_TOL)
+        same[first] = True
+        if not same.all():
+            return PhiRangeResult(False, f"component {l} depends on coordinates "
+                                  f"outside [{I.lo}, {I.hi}]", None)
+        components.append(
+            MatrixCylinderFunction._from_stack(S.bases[l], I, rows[first]))
 
-    projected = StageElement(tuple(
-        MatrixCylinderFunction(S.bases[l], A.proj_windows[l], S.heights[l], table)
-        for l, table in enumerate(tables)))
-    violations = stage_violations(S, projected)
+    violations = stage_violations(S, StageElement(tuple(components)))
     if violations:
         l, mu, z = violations[0]
-        return PhiRangeResult(
-            ok=False,
-            reason=f"projected gluing fails at level {l}, "
-                   f"mu={list(mu)}, word {z!r}",
-            preimage=None)
-    return PhiRangeResult(ok=True, reason="", preimage=tuple(tables))
+        return PhiRangeResult(False, f"projected gluing fails at level {l}, "
+                              f"mu={list(mu)}, word {z!r}", None)
+    return PhiRangeResult(True, "", tuple(f.values for f in components))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPrimitive, PeriodicSystem, WindowTooSmall
+from .errors import InvariantViolated, NonPrimitive, PeriodicSystem, WindowTooSmall
 
 DEFAULT_DEPTH = 64
 
@@ -236,6 +236,17 @@ class SubstitutionSystem:
             plan.setflags(write=False)
             self._restrictions[key] = plan
         return plan
+
+    def fibers(self, hull: Window, window: Window, indices, targets) -> tuple:
+        """Group the words ``indices`` (ascending) of ``lexicon(hull.length)``
+        by their slice on ``window``, a fiber per index in ``targets``: each
+        fiber's least word is ``first[k]``, and word ``i`` is in ``inverse[i]``."""
+        plan = self.restriction(hull.length, window.lo - hull.lo, window.length)
+        found, first, inverse = np.unique(plan[indices], return_index=True,
+                                          return_inverse=True)
+        if not np.array_equal(found, targets):
+            raise InvariantViolated(f"a fiber on {window} has no word on {hull}")
+        return first, inverse
 
     def _check_aperiodic(self):
         # Longest first, so every shorter language is a set of prefixes.

@@ -671,3 +671,176 @@ def lift_series_oracle(S, b) -> dict:
                      {w: values.get(w, 0j)
                       for w in sorted(S.system.language(window.length))})
             for n, (window, values) in lift_oracle(S, b).items()}
+
+
+# -- positive elements, one matrix per word ----------------------------------
+# The per-word rules that ``rokhlin.cuntz`` replaced by whole-stack array
+# calls: each word's matrix is checked with its own ``eigvalsh``, ranked with
+# its own SVD, cut with its own ``eigh`` and padded or summed as its own
+# block-diagonal matrix, and comparisons pad both sides to one size.
+
+ORACLE_HERMITIAN_TOL = 1e-12
+ORACLE_PSD_EIG_TOL = -1e-10
+ORACLE_RANK_TOL = 1e-8
+ORACLE_STAGE_TOL = 1e-12
+
+
+class OracleNotHermitian(Exception):
+    """A matrix that is not finite, Hermitian and positive semidefinite."""
+
+
+def _block_diagonal(blocks) -> np.ndarray:
+    size = sum(B.shape[0] for B in blocks)
+    out = np.zeros((size, size), dtype=complex)
+    offset = 0
+    for B in blocks:
+        k = B.shape[0]
+        out[offset : offset + k, offset : offset + k] = B
+        offset += k
+    return out
+
+
+def matrix_rank_oracle(A: np.ndarray) -> int:
+    if A.size == 0:
+        return 0
+    return int(np.sum(np.linalg.svd(A, compute_uv=False) > ORACLE_RANK_TOL))
+
+
+class PositiveElementOracle:
+    """A word -> matrix table, each matrix checked on its own, word after
+    word in base order: shape, finiteness, symmetry, least eigenvalue."""
+
+    def __init__(self, base, size: int, values: dict):
+        base = tuple(base)
+        if set(values) != set(base):
+            raise ValueError("need exactly one matrix per base word")
+        table = {}
+        for w in base:
+            A = np.array(values[w], dtype=complex)
+            if A.shape != (size, size):
+                raise ValueError(f"matrix for {w!r} has shape {A.shape}")
+            if not np.isfinite(A).all():
+                raise OracleNotHermitian(f"matrix at {w!r} has a non-finite entry")
+            if float(np.max(np.abs(A - A.conj().T), initial=0.0)) > ORACLE_HERMITIAN_TOL:
+                raise OracleNotHermitian(f"matrix at {w!r} is not Hermitian")
+            if size and float(np.min(np.linalg.eigvalsh(A))) < ORACLE_PSD_EIG_TOL:
+                raise OracleNotHermitian(f"matrix at {w!r} has a negative eigenvalue")
+            table[w] = A
+        self.base = base
+        self.size = size
+        self.values = table
+
+    def pad_to(self, size: int) -> "PositiveElementOracle":
+        if size == self.size:
+            return self
+        pad = np.zeros((size - self.size, size - self.size))
+        return PositiveElementOracle(self.base, size,
+                                     {w: _block_diagonal([A, pad])
+                                      for w, A in self.values.items()})
+
+    def direct_sum(self, other) -> "PositiveElementOracle":
+        return PositiveElementOracle(
+            self.base, self.size + other.size,
+            {w: _block_diagonal([self.values[w], other.values[w]])
+             for w in self.base})
+
+    def distance(self, other) -> float:
+        return max(float(np.linalg.norm(self.values[w] - other.values[w], 2))
+                   if self.size else 0.0 for w in self.base)
+
+    def rank_profile(self) -> dict:
+        return {w: matrix_rank_oracle(A) for w, A in self.values.items()}
+
+
+def eps_cut_oracle(a: PositiveElementOracle, eps: float) -> PositiveElementOracle:
+    values = {}
+    for w, A in a.values.items():
+        lam, V = np.linalg.eigh(A)
+        cut = np.maximum(lam - eps, 0.0)
+        values[w] = (V * cut) @ V.conj().T
+    return PositiveElementOracle(a.base, a.size, values)
+
+
+def cuntz_leq_oracle(a: PositiveElementOracle, b: PositiveElementOracle) -> bool:
+    size = max(a.size, b.size)
+    ra = a.pad_to(size).rank_profile()
+    rb = b.pad_to(size).rank_profile()
+    return all(ra[w] <= rb[w] for w in a.base)
+
+
+def class_leq_oracle(ra: dict, rb: dict) -> bool:
+    """The order of two rank profiles on one base."""
+    return all(ra[w] <= rb[w] for w in ra)
+
+
+def rc_witness_oracle(n: int, m: int, eta: PositiveElementOracle,
+                      mu: PositiveElementOracle) -> bool:
+    size = max(eta.size, mu.size)
+    re = eta.pad_to(size).rank_profile()
+    rm = mu.pad_to(size).rank_profile()
+    if not all((n + 1) * re[w] + m * size <= n * rm[w] for w in eta.base):
+        return True
+    return all(re[w] <= rm[w] for w in eta.base)
+
+
+# -- fibers of a projection, one word at a time --------------------------------
+
+
+def phi_range_oracle(comps, proj_windows, bases, paths_by_level) -> tuple:
+    """``(reason, preimage)`` of the projected-range check on the evaluated
+    components ``comps``: each component tabulated on the hull of its window
+    and ``proj_windows[l]``, its words walked in sorted order, and a word
+    whose slice was seen before compared (``np.isclose`` order: the first
+    value, then this one) with the value the slice got first; the factored
+    tables are then checked against the gluing, word by word."""
+    tables = []
+    for l, comp in enumerate(comps):
+        I = proj_windows[l]
+        V = comp.window.hull(I)
+        off = I.lo - V.lo
+        table: dict = {}
+        for w, M in sorted(matrix_values_on_oracle(comp, V).items()):
+            key = w[off : off + I.length]
+            if key in table:
+                if not np.isclose(table[key], M, rtol=0.0,
+                                  atol=ORACLE_STAGE_TOL).all():
+                    return (f"component {l} depends on coordinates outside "
+                            f"[{I.lo}, {I.hi}]", None)
+            else:
+                table[key] = M
+        if set(table) != words_on_oracle(bases[l], I):
+            raise ValueError(f"fibers of component {l} do not match its base")
+        tables.append(table)
+    projected = [MatrixTable(bases[l], proj_windows[l], comp.size, table)
+                 for l, (comp, table) in enumerate(zip(comps, tables))]
+    found = gluing_violations_oracle(projected, paths_by_level, ORACLE_STAGE_TOL)
+    if found:
+        l, mu, z = found[0]
+        return (f"projected gluing fails at level {l}, mu={list(mu)}, "
+                f"word {z!r}", None)
+    return "", tuple(tables)
+
+
+def approximate_oracle(f: Table, B, I, eps: float) -> tuple:
+    """``(achievable, table)`` of the window-``I`` approximation of ``f``
+    that vanishes on ``B``: over the sorted language of the hull window, the
+    first word of each ``I``-slice gives the slice its value, zero where a
+    word of ``B`` has that slice; ``table`` is ``None`` unless the largest
+    ``abs`` of a difference is below ``eps``."""
+    system = f.system
+    hull = I.hull(f.window)
+    if words_on_oracle(B, B.window):
+        hull = hull.hull(B.window)
+    f_table = values_on_oracle(f, hull)
+    off_i = I.lo - hull.lo
+    dead = {w[off_i : off_i + I.length] for w in words_on_oracle(B, hull)}
+    projected = {}
+    for w in sorted(system.language(hull.length)):
+        key = w[off_i : off_i + I.length]
+        if key not in projected:
+            projected[key] = 0.0 if key in dead else f_table[w]
+    err = max(abs(projected[w[off_i : off_i + I.length]] - f_table[w])
+              for w in f_table)
+    if err >= eps:
+        return err, None
+    return err, Table(system, I, {w: complex(v) for w, v in sorted(projected.items())})

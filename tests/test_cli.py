@@ -4,13 +4,15 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import rokhlin
-from rokhlin import cli, rsh, towers
+from rokhlin import cli, cuntz, rsh, towers
 from rokhlin.cli import main
 from rokhlin.crossed import FormalElement
 from rokhlin.errors import InvariantViolated
@@ -34,8 +36,10 @@ def run(*argv):
 
 
 def assert_one_line_error(capsys, prefix="config error:"):
-    err = capsys.readouterr().err
+    """Assert one error line on stderr; return what went to stdout."""
+    out, err = capsys.readouterr()
     assert err.startswith(prefix) and err.count("\n") == 1, err
+    return out
 
 
 class TestTowersCommand:
@@ -337,6 +341,45 @@ print(cli.CHECKS["stage-membership"]({"S": S, "seed": 0}).detail)
         assert not failed.passed
         assert failed.detail == "boundary_compatible"
 
+    def test_cuntz_sweep_fails_on_a_flipped_domination_rule(self, monkeypatch):
+        # planted defect: the one rank-domination rule compares with `<` in
+        # place of `>=`; the witness sweep then finds a hypothesis that holds
+        # with a conclusion that fails, and the same patch makes an element
+        # incomparable with itself, so every comparison goes through it
+        a = cuntz.PositiveElement.from_ranks(("w0", "w1"), 2, {"w0": 1, "w1": 2})
+        assert cli.CHECKS["cuntz-sweep"]({"seed": 0}).passed
+        assert cuntz.cuntz_leq(a, a)
+        assert cuntz.CuntzClass.of(a) <= cuntz.CuntzClass.of(a)
+        monkeypatch.setattr(cuntz, "_dominates",
+                            lambda upper, lower: bool((np.asarray(upper) < lower).all()))
+        failed = cli.CHECKS["cuntz-sweep"]({"seed": 0})
+        assert not failed.passed and failed.deviation > 0
+        assert not cuntz.cuntz_leq(a, a)
+        assert not cuntz.CuntzClass.of(a) <= cuntz.CuntzClass.of(a)
+
+    def test_eps_cut_fails_when_clipping_at_eps(self, monkeypatch):
+        # planted defect: the cutoff clips shifted eigenvalues at eps instead
+        # of at zero, so eigenvalues below eps come out as eps
+        assert cli.CHECKS["eps-cut"]({"seed": 0}).passed
+
+        def clipped_at_eps(a, eps):
+            lam, V = np.linalg.eigh(a._stack)
+            cut = np.maximum(lam - eps, eps)
+            return cuntz.PositiveElement._from_stack(
+                a.base, (V * cut[:, None, :]) @ V.conj().swapaxes(1, 2))
+
+        monkeypatch.setattr(cuntz, "eps_cut", clipped_at_eps)
+        failed = cli.CHECKS["eps-cut"]({"seed": 0})
+        assert not failed.passed and failed.deviation > 1e-10
+
+    def test_rc_bound_fails_on_an_off_by_one_numerator(self, pd_full,
+                                                       monkeypatch):
+        # planted defect: the per-level value drops the -1 of its numerator
+        assert cli.CHECKS["rc-bound"]({"S": pd_full, "seed": 0}).passed
+        monkeypatch.setattr(cuntz, "per_level_value", lambda length, r, d:
+                            Fraction((length + r) * d, 2 * r))
+        assert not cli.CHECKS["rc-bound"]({"S": pd_full, "seed": 0}).passed
+
     def test_unknown_check_exit_two(self, capsys):
         rc = run("verify", "--config", str(CONFIGS / "fibonacci.json"),
                  "--checks", "axioms,nonsense")
@@ -543,12 +586,13 @@ class TestRcBoundCommand:
                  "--window", "junk", "--dim", "1")
         assert rc == 2
 
-    @pytest.mark.parametrize("mdim", ["nan", "inf"])
+    @pytest.mark.parametrize("mdim", ["nan", "inf", "1e308"])
     def test_non_finite_mdim_exit_two(self, mdim, capsys):
+        # 36 * 1e308 overflows to inf; the command fails before printing
         rc = run("rc-bound", "--config", str(CONFIGS / "period_doubling.json"),
                  "--window", "0:0", "--dim", "2", "--mdim", mdim)
         assert rc == 2
-        assert_one_line_error(capsys)
+        assert assert_one_line_error(capsys) == ""
 
 
 class TestDepthEnv:

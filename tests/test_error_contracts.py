@@ -8,7 +8,13 @@ import pytest
 
 import rokhlin
 from rokhlin.crossed import CylinderFunction, FormalElement, gamma_eval
-from rokhlin.cuntz import PositiveElement, cuntz_leq, rc_witness_test
+from rokhlin.cuntz import (
+    PositiveElement,
+    cuntz_leq,
+    eps_cut,
+    headline_bound,
+    rc_witness_test,
+)
 from rokhlin.errors import (
     BaseMismatch,
     NotHermitian,
@@ -98,6 +104,15 @@ class TestPositiveElementContracts:
         with pytest.raises(ValueError):
             PositiveElement.from_ranks(("w",), 2, {"w": 3})
 
+    def test_witness_with_large_parameters(self):
+        # (n + 1) * 2 > n * 1 for every n, so the hypothesis fails; 64-bit
+        # rank arithmetic would wrap (n + 1) * 2 negative at n = 2**62
+        eta = PositiveElement.from_ranks(("w",), 2, {"w": 2})
+        mu = PositiveElement.from_ranks(("w",), 2, {"w": 1})
+        for n in (2**62, 2**64):
+            assert rc_witness_test(n, 0, eta, mu)
+            assert rc_witness_test(1, n, mu, eta)
+
     def test_bad_witness_parameters(self):
         a = PositiveElement.from_ranks(("w",), 2, {"w": 1})
         with pytest.raises(ValueError):
@@ -118,6 +133,35 @@ class TestPositiveElementContracts:
             PositiveElement(("w", "v"), 1, {"w": [[1.0]]})
         with pytest.raises(NotHermitian):
             PositiveElement(("w",), 1, {"w": [[1.0 + 1.0j]]})
+
+    def test_size_zero_end_to_end(self):
+        # matrices of size 0 have rank 0 everywhere; cuts, padding, sums and
+        # distances work on them as on any other size
+        a = PositiveElement(("w", "v"), 0, {w: np.zeros((0, 0)) for w in "wv"})
+        assert a.rank_profile() == {"w": 0, "v": 0}
+        cut = eps_cut(a, 0.5)
+        assert cut.size == 0 and cut.distance(a) == 0.0
+        padded = a.pad_to(2)
+        assert padded.rank_profile() == {"w": 0, "v": 0}
+        assert np.array_equal(padded.values["w"], np.zeros((2, 2)))
+        one = PositiveElement.from_ranks(("w", "v"), 1, {"w": 1, "v": 0})
+        assert a.direct_sum(one).rank_profile() == {"w": 1, "v": 0}
+        assert cuntz_leq(a, one) and not cuntz_leq(one, a)
+        assert PositiveElement.from_ranks(("w",), 0, {"w": 0}).size == 0
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError):
+            PositiveElement(("w",), -1, {"w": np.zeros((0, 0))})
+        with pytest.raises(ValueError):
+            PositiveElement((), -1, {})
+        with pytest.raises(ValueError):
+            PositiveElement.from_ranks(("w",), -1, {"w": 0})
+
+    def test_headline_overflow_rejected(self):
+        # 36 * 1e308 is not finite, so no least integer exists
+        with pytest.raises(ValueError):
+            headline_bound(1e308)
+        assert headline_bound(4e306)[1] == int(np.floor(36.0 * 4e306)) + 1
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_entry_rejected(self, bad):

@@ -1,7 +1,7 @@
 """Interned languages, restriction plans, column fills, column arithmetic,
-clopen-set algebra, matrix stacks and the stage routines against the
-word-at-a-time rules they replaced (``tests/oracles.py``), and the close
-test against ``np.isclose``."""
+clopen-set algebra, matrix stacks, the stage routines, positive-element
+stacks and fiber grouping against the word-at-a-time rules they replaced
+(``tests/oracles.py``), and the close test against ``np.isclose``."""
 
 import json
 import operator
@@ -11,11 +11,17 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
+    OracleNotHermitian,
+    PositiveElementOracle,
     allclose_oracle,
+    approximate_oracle,
     beta_boundary_oracle,
     binary_oracle,
+    class_leq_oracle,
     compose_shift_oracle,
     conj_oracle,
+    cuntz_leq_oracle,
+    eps_cut_oracle,
     equal_oracle,
     factor_oracle,
     form_key,
@@ -27,7 +33,9 @@ from oracles import (
     matrix_table_of,
     matrix_value_oracle,
     matrix_values_on_oracle,
+    phi_range_oracle,
     project_oracle,
+    rc_witness_oracle,
     repair_gluing_oracle,
     scale_oracle,
     series_adjoint_oracle,
@@ -45,19 +53,31 @@ from oracles import (
     vanishes_on_oracle,
     words_on_oracle,
 )
+from rokhlin import rsh
 from rokhlin.crossed import (
     CylinderFunction,
     FormalElement,
     _unit_disc,
+    approximate_with_vanishing,
     gamma_component,
+    gamma_symbolic,
     project_to_subalgebra,
     sample_subalgebra_element,
+)
+from rokhlin.cuntz import (
+    CuntzClass,
+    PositiveElement,
+    cuntz_leq,
+    eps_cut,
+    rc_witness_test,
 )
 from rokhlin.errors import (
     BoundSearchExceeded,
     NonPrimitive,
+    NotHermitian,
     PathMismatch,
     PeriodicSystem,
+    WindowTooSmall,
 )
 from rokhlin.matrixfn import MatrixCylinderFunction, close
 from rokhlin.rsh import (
@@ -65,7 +85,9 @@ from rokhlin.rsh import (
     _repair_gluing,
     _stage_windows,
     beta_boundary,
+    build_approximating_system,
     lift,
+    phi_range_check,
     sample_stage_element,
     stage_from_gamma,
 )
@@ -581,3 +603,226 @@ class TestCloseTest:
         want = np.isclose(a, b, rtol=0.0, atol=atol)
         assert got.dtype == bool and got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+# -- positive elements ---------------------------------------------------------
+
+# eigenvalues on both sides of the rank tolerance (1e-8) and of the
+# negative-eigenvalue tolerance (-1e-10)
+EIGENVALUES = [0.0, 0.0, 1e-9, 1e-7, 1e-3, 0.5, 1.0]
+NEGATIVE = [-1e-11, -1e-9]
+
+
+def _psd(rng, n, lam) -> np.ndarray:
+    """``V diag(lam) V*`` for a random unitary ``V``."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)))
+    return (Q * np.asarray(lam, dtype=float)) @ Q.conj().T
+
+
+def _signed_diagonal(rng, n) -> np.ndarray:
+    """A real diagonal matrix whose zero entries carry random signs."""
+    M = np.diag(rng.choice(EIGENVALUES, size=n)).astype(complex)
+    zero = M == 0
+    M.real[zero] = np.copysign(0.0, rng.standard_normal(n * n)).reshape(n, n)[zero]
+    M.imag[:] = np.copysign(0.0, rng.standard_normal((n, n)))
+    return M
+
+
+def _matrix(rng, n: int, kind: int) -> np.ndarray:
+    """Kinds 0-4 are positive: random unitary conjugates of drawn spectra,
+    diagonals with signed zeros and projections.  Kinds 5-7 are positive
+    only at the tolerance edge or not at all: an entry moved off symmetry,
+    an eigenvalue of -1e-11 or -1e-9, and a non-finite entry."""
+    if kind <= 1:
+        return _psd(rng, n, rng.choice(EIGENVALUES, size=n))
+    if kind == 2:
+        return _signed_diagonal(rng, n)
+    if kind == 3:
+        return np.diag((np.arange(n) < rng.integers(n + 1)).astype(float))
+    if kind == 4:
+        return _psd(rng, n, np.full(n, rng.choice(EIGENVALUES)))
+    M = _psd(rng, n, rng.choice(EIGENVALUES, size=n))
+    if n == 0:
+        return M
+    if kind == 5:
+        i, j = rng.integers(n, size=2)
+        M[i, j] += 1e-9 * (1 if i != j else 1j)
+    elif kind == 6:
+        M = _psd(rng, n, [rng.choice(NEGATIVE)] + list(rng.choice(EIGENVALUES, size=n - 1)))
+    else:
+        i, j = rng.integers(n, size=2)
+        M[i, j] = rng.choice([np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    return M
+
+
+@st.composite
+def _matrix_table(draw, base, size, bad: bool):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return {w: _matrix(rng, size, draw(st.integers(0, 7 if bad else 4)))
+            for w in base}
+
+
+@st.composite
+def _base(draw):
+    return tuple(draw(st.permutations(["w0", "w1", "w2"]))[:draw(st.integers(1, 3))])
+
+
+def _outcome(build, *args):
+    """The built element, or the kind and message of the error it raised."""
+    try:
+        return build(*args), None
+    except (NotHermitian, OracleNotHermitian) as e:
+        return None, ("not Hermitian", str(e))
+    except ValueError as e:
+        return None, ("value", str(e))
+
+
+def _float_bytes(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestPositiveStacks:
+    """Validation, ranks, cuts, distances, padding, sums and the three
+    rank-domination verdicts of stacked positive elements equal the
+    word-by-word rules byte for byte, signed zeros included: a check that
+    names the last bad word, a rank tolerance of 1e-6 or a batched cut that
+    moves a bit each fail here."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_validation_names_the_first_bad_word(self, data):
+        base = data.draw(_base())
+        size = data.draw(st.integers(0, 4))
+        table = data.draw(_matrix_table(base, size, bad=True))
+        got, error = _outcome(PositiveElement, base, size, table)
+        want, want_error = _outcome(PositiveElementOracle, base, size, table)
+        assert error == want_error
+        if got is not None:
+            assert list(got.values) == list(want.values)
+            assert _table_of_matrices(got.values) == _table_of_matrices(want.values)
+            assert all(not M.flags.writeable for M in got.values.values())
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_operations_match_word_rules(self, data):
+        base = data.draw(_base())
+        sizes = [data.draw(st.integers(0, 4)) for _ in range(2)]
+        tables = [data.draw(_matrix_table(base, n, bad=False)) for n in sizes]
+        tables.append(data.draw(_matrix_table(base, sizes[0], bad=False)))
+        sizes.append(sizes[0])
+        elems = [PositiveElement(base, n, t) for n, t in zip(sizes, tables)]
+        oracles = [PositiveElementOracle(base, n, t)
+                   for n, t in zip(sizes, tables)]
+        (a, b, c), (oa, ob, oc) = elems, oracles
+        for x, ox in zip(elems, oracles):
+            assert list(x.rank_profile().items()) == list(ox.rank_profile().items())
+        eps = data.draw(st.sampled_from([0.0, 1e-9, 1e-7, 0.3, 0.7, 2.0]))
+        extra = data.draw(st.integers(0, 2))
+        for got, want in ((eps_cut(a, eps), eps_cut_oracle(oa, eps)),
+                          (a.pad_to(a.size + extra), oa.pad_to(oa.size + extra)),
+                          (a.direct_sum(b), oa.direct_sum(ob))):
+            assert got.size == want.size
+            assert _table_of_matrices(got.values) == _table_of_matrices(want.values)
+        assert _float_bytes(a.distance(c)) == _float_bytes(oa.distance(oc))
+        for (x, ox), (y, oy) in ((pair, other) for pair in zip(elems, oracles)
+                                 for other in zip(elems, oracles)):
+            assert cuntz_leq(x, y) is cuntz_leq_oracle(ox, oy)
+            assert (CuntzClass.of(x) <= CuntzClass.of(y)) is class_leq_oracle(
+                ox.rank_profile(), oy.rank_profile())
+            for n in (1, 2, 3):
+                for m in (0, 1, 2):
+                    assert rc_witness_test(n, m, x, y) is rc_witness_oracle(n, m, ox, oy)
+
+
+# -- fibers of a projection --------------------------------------------------
+
+
+def _preimage_bytes(preimage):
+    return None if preimage is None else [_table_of_matrices(t) for t in preimage]
+
+
+def _widened(f, rng):
+    """``f`` tabulated on a window one or two coordinates wider, each row
+    moved by about 1e-14: the rows of one fiber then differ within the
+    1e-12 tolerance."""
+    wide = Window(f.window.lo - int(rng.integers(1, 3)), f.window.hi + 1)
+    stack = f.stack(f.base.indices_on(wide), wide)
+    stack = stack + 1e-14 * (rng.standard_normal(stack.shape)
+                             + 1j * rng.standard_normal(stack.shape))
+    return MatrixCylinderFunction._from_stack(f.base, wide, stack)
+
+
+def _doubled_top(comps):
+    top = comps[-1]
+    return comps[:-1] + [MatrixCylinderFunction._from_stack(
+        top.base, top.window, 2.0 * top._stack)]
+
+
+class TestFiberGrouping:
+    """``phi_range_check`` and ``approximate_with_vanishing`` group words by
+    fiber through one restriction plan; their verdicts, reasons, preimages,
+    columns and achievable errors equal the dict and language loops byte for
+    byte.  A grouping keyed by a fiber's last row fails on the widened,
+    nudged components, whose fibers agree only within the tolerance."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None)
+    @given(_rules(), st.integers(1, 2), st.integers(0, 63),
+           st.sampled_from(["full", "standard"]), st.integers(0, 2**32 - 1))
+    def test_phi_range_matches_fiber_loop(self, rules, length, pick, variant,
+                                          seed):
+        system = _system(rules)
+        words = sorted(system.language(length))
+        Y = system.cylinder(Window(0, length - 1), words[pick % len(words)])
+        try:
+            S = build_towers(Y, variant)
+        except BoundSearchExceeded:
+            assume(False)
+        assume(max(S.heights) <= 12)
+        A = build_approximating_system(S, Y.window)
+        rng = np.random.default_rng(seed)
+        paths = [admissible_sequences(S, l) for l in range(S.m + 1)]
+        inside = sample_subalgebra_element(system, Y, rng, max(S.heights) + 1,
+                                           max_support=2,
+                                           window_lengths=(1,), lo_range=(0, 0))
+        wider = sample_subalgebra_element(system, Y, rng, max(S.heights) + 1,
+                                          max_support=2,
+                                          window_lengths=(1, 2, 3),
+                                          lo_range=(-2, 1))
+        plain = gamma_symbolic(inside, S)
+        cases = [plain, gamma_symbolic(wider, S),
+                 [_widened(f, rng) for f in plain], _doubled_top(plain)]
+        for comps in cases:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(rsh, "gamma_symbolic", lambda a, S: comps)
+                got = phi_range_check(S, A, inside)
+            reason, preimage = phi_range_oracle(comps, A.proj_windows,
+                                                S.bases, paths)
+            assert got.reason == reason
+            assert got.ok is (preimage is not None)
+            assert _preimage_bytes(got.preimage) == _preimage_bytes(preimage)
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_approximation_matches_language_loop(self, data):
+        system = _system(data.draw(_rules()))
+        B = data.draw(_cylinder_union(system))
+        f = data.draw(_float_function(system)) * CylinderFunction.indicator(
+            B.complement())
+        length = data.draw(st.integers(1, 3))
+        lo = data.draw(st.integers(-2, 2))
+        I = Window(lo, lo + length - 1)
+        err, want = approximate_oracle(table_of(f), B, I, 1e300)
+        got = approximate_with_vanishing(f, B, I, 1e300)
+        assert got.window == want.window
+        assert _table_bytes(got) == _table_bytes(want)
+        if err > 0:
+            with pytest.raises(WindowTooSmall) as raised:
+                approximate_with_vanishing(f, B, I, err)
+            assert _float_bytes(raised.value.achievable) == _float_bytes(err)
+        else:
+            assert approximate_with_vanishing(f, B, I, 1e-300).window == I
