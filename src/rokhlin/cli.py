@@ -261,19 +261,6 @@ def _check_stage_membership(ctx):
     return CheckResult("stage-membership", not detail, 0.0, detail)
 
 
-def _first_difference(got, want) -> tuple | None:
-    """``(level, word)`` of the first block at which two stage elements over
-    the same bases differ, in level and then sorted word order."""
-    for l, (f, g) in enumerate(zip(got.components, want.components)):
-        w = f.window.hull(g.window)
-        indices = f.base.indices_on(w)
-        differs = (f.stack(indices, w) != g.stack(indices, w)).any(axis=(1, 2))
-        if differs.any():
-            return l, f.base.system.lexicon(w.length)[0][
-                indices[np.argmax(differs)]]
-    return None
-
-
 def _check_lift_roundtrip(ctx):
     S = ctx["S"]
     rng = np.random.default_rng(ctx["seed"])
@@ -282,12 +269,13 @@ def _check_lift_roundtrip(ctx):
     pool += [rsh.sample_stage_element(S, rng) for _ in range(10)]
     for k, b in enumerate(pool):
         got = rsh.stage_from_gamma(rsh.lift(S, b), S)
-        if not got.equal_exact(b):
+        where = got.first_difference(b)
+        if where is not None:
             kind = "basis" if k < basis else f"sample {k - basis}"
-            detail = f"{len(pool)} elements; element {k} ({kind}) differs"
-            where = _first_difference(got, b)
-            if where is not None:
-                detail += f" at level {where[0]}, word {where[1]!r}"
+            detail = (f"{len(pool)} elements; element {k} ({kind}) differs "
+                      f"at level {where[0]}")
+            if where[1] is not None:
+                detail += f", word {where[1]!r}"
             return CheckResult("lift-roundtrip", False, 0.0, detail)
     return CheckResult("lift-roundtrip", True, 0.0, f"{len(pool)} elements")
 
@@ -476,6 +464,9 @@ def cmd_eval(args) -> int:
     N = args.n
     if N < 1:
         raise ConfigError("N must be positive")
+    if N > cfg.system.depth:
+        raise ConfigError(f"--n {N} exceeds the enumeration depth "
+                          f"{cfg.system.depth}")
     Z = cfg.Y & cfg.Y.shift(-N)
     if Z.is_empty():
         raise ConfigError(f"no point of the base set returns after {N} steps")
@@ -505,6 +496,9 @@ def cmd_rc_bound(args) -> int:
         window = Window(int(lo), int(hi))
     except (ValueError, AttributeError) as e:
         raise ConfigError(f"bad --window: {e}")
+    if window.length > cfg.system.depth:
+        raise ConfigError(f"--window length {window.length} exceeds the "
+                          f"enumeration depth {cfg.system.depth}")
     S = build_towers(cfg.Y, cfg.variant)
     report = cuntz.rc_upper_bound(S, window, args.dim)
     print(f"{'level':>5} {'height':>7} {'per-level':>12}")

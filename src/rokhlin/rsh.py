@@ -21,7 +21,7 @@ wraps the factored stacks as a stage element and runs ``stage_violations``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 
 import numpy as np
 
@@ -72,11 +72,23 @@ class StageElement:
     def truncate(self, level: int) -> "StageElement":
         return StageElement(self.components[: level + 1])
 
+    def first_difference(self, other: "StageElement") -> tuple | None:
+        """``(level, word)`` of the first differing block, in level and then
+        sorted word order; ``word`` is ``None`` where a size, a base or the
+        level count differs.  ``None`` for equal elements.  Entries compare
+        with ``!=``, which is ``not close(a, b, 0.0)`` at every value."""
+        for l, (f, g) in enumerate(zip_longest(self.components, other.components)):
+            if f is None or g is None or f.size != g.size or not (f.base == g.base):
+                return l, None
+            w = f.window.hull(g.window)
+            indices = f.base.indices_on(w)
+            differs = (f.stack(indices, w) != g.stack(indices, w)).any(axis=(1, 2))
+            if differs.any():
+                return l, f.base.system.lexicon(w.length)[0][indices[differs.argmax()]]
+        return None
+
     def equal_exact(self, other: "StageElement") -> bool:
-        if self.level != other.level:
-            return False
-        return all(a.allclose(b, atol=0.0)
-                   for a, b in zip(self.components, other.components))
+        return self.first_difference(other) is None
 
 
 def stage_from_gamma(a: FormalElement, S: RokhlinSystem) -> StageElement:
@@ -191,35 +203,31 @@ def beta_boundary(S: RokhlinSystem, l: int,
     window = D.window
     for path in paths:
         window = _path_eval_window(path, b, window)
-    # the paths' words one after another; row[w] is w's first place there
-    # (filled from the last path back), whose value later paths must match
+    # path sets lie in D (T_l meets T_{mu_0} only on the boundary), so each
+    # path's words are rows of D; origin[row] is the first path to fill it
     words = S.system.lexicon(window.length)[0]
-    per_path = [path.path_set.indices_on(window) for path in paths]
-    ends = list(accumulate(len(I) for I in per_path))
-    row = np.full(len(words), -1)
-    for end, I in zip(ends[::-1], per_path[::-1]):
-        row[I] = np.arange(end - len(I), end)
-    indices = np.concatenate([np.zeros(0, dtype=int), *per_path])
-    r = S.heights[l]
-    glued = np.concatenate([np.zeros((0, r, r), dtype=complex),
-                            *(_glued_stack(path, b, I, window)
-                              for path, I in zip(paths, per_path))])
-    first = row[indices]
-    agree = close(glued, glued[first], STAGE_TOL).all(axis=(1, 2))
-    agree |= first == np.arange(len(indices))
-    if not agree.all():
-        k = int(agree.argmin())
-        mu, nu = (paths[np.searchsorted(ends, i, "right")].mu
-                  for i in (first[k], k))
-        w = words[indices[k]]
-        raise NotInStageAlgebra(f"paths {mu} and {nu} disagree at {w!r}",
-                                violation=(l, (mu, nu), w))
     expected = D.indices_on(window)
-    rows = row[expected]
-    if (rows < 0).any():
+    r = S.heights[l]
+    out = np.zeros((len(expected), r, r), dtype=complex)
+    origin = np.full(len(expected), -1)
+    for p, path in enumerate(paths):
+        indices = path.path_set.indices_on(window)
+        rows = np.searchsorted(expected, indices)
+        glued = _glued_stack(path, b, indices, window)
+        seen = origin[rows] >= 0
+        agree = close(glued, out[rows], STAGE_TOL).all(axis=(1, 2)) | ~seen
+        if not agree.all():
+            k = agree.argmin()
+            mu, nu = paths[origin[rows[k]]].mu, path.mu
+            w = words[indices[k]]
+            raise NotInStageAlgebra(f"paths {mu} and {nu} disagree at {w!r}",
+                                    violation=(l, (mu, nu), w))
+        out[rows[~seen]] = glued[~seen]
+        origin[rows[~seen]] = p
+    if (origin < 0).any():
         raise InvariantViolated("boundary words not covered by any path: "
-                                f"{words[expected[rows < 0]].tolist()}")
-    return MatrixCylinderFunction._from_stack(D, window, glued[rows])
+                                f"{words[expected[origin < 0]].tolist()}")
+    return MatrixCylinderFunction._from_stack(D, window, out)
 
 
 # -- constructive lifting ------------------------------------------------------------
@@ -331,44 +339,38 @@ def _repair_gluing(S: RokhlinSystem, components):
     return StageElement(tuple(out))
 
 
+def _stage_shapes(S: RokhlinSystem) -> list:
+    """``(words, r_i, r_i)`` of each free stack: one row per word of base
+    ``i`` on its stage window, in sorted word order."""
+    return [(len(T.indices_on(w)), r, r)
+            for T, w, r in zip(S.bases, _stage_windows(S), S.heights)]
+
+
+def _stage_element(S: RokhlinSystem, stacks) -> StageElement:
+    """The free ``stacks`` on the stage windows, repaired into the gluing."""
+    return _repair_gluing(S, [
+        MatrixCylinderFunction._from_stack(T, w, stack)
+        for T, w, stack in zip(S.bases, _stage_windows(S), stacks)])
+
+
 def sample_stage_element(S: RokhlinSystem, rng) -> StageElement:
     """Random stage-algebra element: free values repaired into the gluing."""
-    windows = _stage_windows(S)
-    components = []
-    for i in range(S.m + 1):
-        r = S.heights[i]
-        count = len(S.bases[i].indices_on(windows[i]))
-        tables = _unit_disc(rng, count * r * r).reshape(count, r, r)
-        components.append(MatrixCylinderFunction._from_stack(
-            S.bases[i], windows[i], tables))
-    return _repair_gluing(S, components)
+    return _stage_element(S, [_unit_disc(rng, count * r * r).reshape(count, r, r)
+                              for count, r, _ in _stage_shapes(S)])
 
 
 def _basis_slots(S: RokhlinSystem) -> list:
-    """``(tower, word, j, k)`` of every matrix-unit generator, in basis order;
-    there are ``sum_i |words_i| * r_i^2`` of them."""
-    windows = _stage_windows(S)
-    return [(i, word, j, k)
-            for i in range(S.m + 1)
-            for word in sorted(S.bases[i].words_on(windows[i]))
-            for j in range(S.heights[i]) for k in range(S.heights[i])]
+    """``(tower, row, j, k)`` of every matrix-unit generator, in basis order:
+    each index of each free stack, ``sum_i |words_i| * r_i^2`` of them."""
+    return [(i, *slot) for i, shape in enumerate(_stage_shapes(S))
+            for slot in np.ndindex(shape)]
 
 
-def _basis_element(S: RokhlinSystem, i: int, word: str, j: int,
-                   k: int) -> StageElement:
-    """The unit ``e_{jk}`` at ``word`` of tower ``i``, repaired into the gluing."""
-    windows = _stage_windows(S)
-    components = []
-    for ii in range(S.m + 1):
-        rr = S.heights[ii]
-        indices = S.bases[ii].indices_on(windows[ii])
-        stack = np.zeros((len(indices), rr, rr), dtype=complex)
-        if ii == i:
-            index = S.system.lexicon(windows[i].length)[1][word]
-            stack[np.count_nonzero(indices < index), j, k] = 1.0
-        components.append(MatrixCylinderFunction._from_stack(
-            S.bases[ii], windows[ii], stack))
-    return _repair_gluing(S, components)
+def _basis_element(S: RokhlinSystem, i: int, row: int, j: int, k: int) -> StageElement:
+    """The unit ``e_{jk}`` at ``row`` of tower ``i``, repaired into the gluing."""
+    stacks = [np.zeros(shape, dtype=complex) for shape in _stage_shapes(S)]
+    stacks[i][row, j, k] = 1.0
+    return _stage_element(S, stacks)
 
 
 def stage_basis_elements(S: RokhlinSystem):

@@ -12,7 +12,6 @@ Consequently ``h^j`` moves a constraint at coordinate ``k`` to ``k - j``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,10 +289,6 @@ class SubstitutionSystem:
         return SubstitutionSystem(data["alphabet"], data["rules"],
                                   depth=int(data.get("depth", DEFAULT_DEPTH)))
 
-    @staticmethod
-    def from_json(text: str) -> "SubstitutionSystem":
-        return SubstitutionSystem.from_config(json.loads(text))
-
     def __repr__(self):
         rules = ", ".join(f"{a}->{w}" for a, w in self.rules.items())
         return f"SubstitutionSystem({rules})"
@@ -457,12 +452,6 @@ class ClopenSet:
         w = self._common(other)
         return self.words_on(w) == other.words_on(w)
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
-    __hash__ = None
-
     def to_json(self) -> dict:
         return {"window": self.window.to_json(), "words": sorted(self.words)}
 
@@ -527,9 +516,6 @@ class PointWindow:
             raise WindowTooSmall(f"{self.window} does not cover {window}")
         off = window.lo - self.window.lo
         return PointWindow(self.system, window, self.word[off : off + window.length])
-
-    def word_on(self, window: Window) -> str:
-        return self.restrict(window).word
 
 
 def fibonacci(depth: int = DEFAULT_DEPTH) -> SubstitutionSystem:

@@ -663,6 +663,61 @@ def repair_gluing_oracle(components, paths_by_level) -> list:
     return out
 
 
+def basis_slots_oracle(bases, windows, heights) -> list:
+    """``(tower, word, j, k)`` of every matrix unit, addressed by word: the
+    towers in order, each base's words on its stage window sorted, then
+    ``j`` and ``k``."""
+    return [(i, word, j, k)
+            for i, (T, window, r) in enumerate(zip(bases, windows, heights))
+            for word in sorted(words_on_oracle(T, window))
+            for j in range(r) for k in range(r)]
+
+
+def basis_element_oracle(bases, windows, heights, paths_by_level,
+                         slot) -> list:
+    """The matrix unit at the word-addressed ``slot`` as ``MatrixTable``s:
+    zero tables on the stage windows with ``1`` at ``(j, k)`` of ``word``
+    in tower ``i``, repaired by ``repair_gluing_oracle``."""
+    i, word, j, k = slot
+    tables = []
+    for t, (T, window, r) in enumerate(zip(bases, windows, heights)):
+        values = {w: np.zeros((r, r), dtype=complex)
+                  for w in sorted(words_on_oracle(T, window))}
+        if t == i:
+            values[word][j, k] = 1.0
+        tables.append(MatrixTable(T, window, r, values))
+    return repair_gluing_oracle(tables, paths_by_level)
+
+
+def equal_exact_oracle(b, c) -> bool:
+    """The exact comparison of two stage elements as a level check and then
+    each pair of components ``allclose`` at ``atol=0.0``."""
+    if len(b.components) != len(c.components):
+        return False
+    return all(f.allclose(g, atol=0.0)
+               for f, g in zip(b.components, c.components))
+
+
+def first_difference_oracle(b, c):
+    """``(level, word)`` of the first pair of components that differ: word
+    ``None`` when one element lacks the level or the sizes or bases differ,
+    else the least base word on the hull window at which ``np.isclose``
+    with ``atol=0`` fails; ``None`` when no pair differs."""
+    for l in range(max(len(b.components), len(c.components))):
+        if l >= min(len(b.components), len(c.components)):
+            return l, None
+        f, g = b.components[l], c.components[l]
+        if f.size != g.size or not (f.base == g.base):
+            return l, None
+        window = f.window.hull(g.window)
+        for word in sorted(words_on_oracle(f.base, window)):
+            if not np.isclose(_read(f, word, window.lo, 0),
+                              _read(g, word, window.lo, 0),
+                              rtol=0.0, atol=0.0).all():
+                return l, word
+    return None
+
+
 def lift_series_oracle(S, b) -> dict:
     """``lift_oracle`` as a series of ``Table``s, in its degree order: every
     word of the window's language, zero where the lift writes nothing, so

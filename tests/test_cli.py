@@ -520,6 +520,21 @@ class TestEvalCommand:
                  "--element", str(elem), "--n", "2", "--x", "0:00")
         assert rc == 2
 
+    def test_n_above_depth_exit_two(self, tmp_path, capsys):
+        # Y & Y.shift(-N) is enumerated on a window of about N letters, so
+        # an N beyond the configured depth (64) is refused before any word
+        # is enumerated, even where the evaluation itself would be cheap
+        elem = tmp_path / "elem.json"
+        elem.write_text(json.dumps(
+            {"terms": [{"n": 1, "window": [0, 0],
+                        "values": {"0": [0.0, 0.0], "1": [1.0, 0.0]}}]}))
+        x = "0:000100010001010100010001000101010001000100010101000101010001010100"
+        rc = run("eval", "--config", str(CONFIGS / "period_doubling.json"),
+                 "--element", str(elem), "--n", "65", "--x", x)
+        assert rc == 2
+        assert_one_line_error(capsys, "config error: --n 65 exceeds the "
+                                      "enumeration depth 64")
+
     @pytest.mark.parametrize("element", [
         {"terms": 5},
         [],
@@ -580,6 +595,16 @@ class TestRcBoundCommand:
         rc = run("rc-bound", "--config", str(CONFIGS / "period_doubling.json"),
                  "--window", "0:0", "--dim", "-1")
         assert rc == 2
+
+    def test_window_above_depth_exit_two(self, capsys):
+        # the window translates of Y are taken up to the window length, so a
+        # length beyond the configured depth (64) is refused; 0:63 still runs
+        argv = ["rc-bound", "--config", str(CONFIGS / "period_doubling.json"),
+                "--dim", "1", "--window"]
+        assert run(*argv, "0:64") == 2
+        assert_one_line_error(capsys, "config error: --window length 65 "
+                                      "exceeds the enumeration depth 64")
+        assert run(*argv, "0:63") == 0
 
     def test_bad_window_exit_two(self, capsys):
         rc = run("rc-bound", "--config", str(CONFIGS / "period_doubling.json"),

@@ -15,6 +15,8 @@ from oracles import (
     PositiveElementOracle,
     allclose_oracle,
     approximate_oracle,
+    basis_element_oracle,
+    basis_slots_oracle,
     beta_boundary_oracle,
     binary_oracle,
     class_leq_oracle,
@@ -22,8 +24,10 @@ from oracles import (
     conj_oracle,
     cuntz_leq_oracle,
     eps_cut_oracle,
+    equal_exact_oracle,
     equal_oracle,
     factor_oracle,
+    first_difference_oracle,
     form_key,
     gamma_component_oracle,
     lift_oracle,
@@ -603,6 +607,121 @@ class TestCloseTest:
         want = np.isclose(a, b, rtol=0.0, atol=atol)
         assert got.dtype == bool and got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+# -- exact comparison and the matrix-unit basis ---------------------------------
+
+# entries planted on both sides of an exact comparison: signed zeros in either
+# part, infinities, NaN, and two values one ulp apart
+SPECIAL = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 1.0,
+           np.nextafter(1.0, 2.0), float("inf"), float("-inf"),
+           complex(0.0, float("inf")), float("nan"), complex(1.0, float("nan"))]
+
+
+def _planted(f, row: int, j: int, k: int, value, window) -> MatrixCylinderFunction:
+    """``f`` with entry ``(j, k)`` of its ``row``-th word set to ``value``,
+    tabulated on ``window``, which covers ``f.window``."""
+    stack = f._stack.copy()
+    stack[row, j, k] = value
+    g = MatrixCylinderFunction._from_stack(f.base, f.window, stack)
+    return MatrixCylinderFunction._from_stack(
+        f.base, window, g.stack(f.base.indices_on(window), window))
+
+
+def _replaced(b: StageElement, l: int, f) -> StageElement:
+    return StageElement((*b.components[:l], f, *b.components[l + 1:]))
+
+
+def _comparison_pairs(S, rng, count: int) -> list:
+    """Pairs of stage elements drawn around one sample ``b``: entries from
+    ``SPECIAL`` planted at the same or at different words, each side on its
+    own window widened by 0-2 coordinates a side; and pairs that differ in
+    their level count, in one component's size or in one component's base."""
+    b = sample_stage_element(S, rng)
+    pairs = []
+    for _ in range(count):
+        l = int(rng.integers(S.m + 1))
+        f = b.components[l]
+        r = f.size
+        sides = []
+        for _ in range(2):
+            row = int(rng.integers(len(f._stack))) if rng.random() < 0.3 else 0
+            wide = Window(f.window.lo - int(rng.integers(3)),
+                          f.window.hi + int(rng.integers(3)))
+            value = SPECIAL[int(rng.integers(len(SPECIAL)))]
+            sides.append(_replaced(b, l, _planted(f, row, 0, r - 1, value, wide)))
+        pairs.append(tuple(sides))
+    for l in range(S.m + 1):
+        f = b.components[l]
+        pairs.append((b, b.truncate(l - 1) if l else StageElement(())))
+        pairs.append((b, _replaced(b, l, MatrixCylinderFunction.identity(
+            f.base, f.size + 1))))
+        pairs.append((b, _replaced(b, l, MatrixCylinderFunction.constant(
+            S.system.full_set(), f._stack[0]))))
+    return pairs
+
+
+def _comparison_systems(reference_systems, tm):
+    systems = [build_towers(Y, "full") for _, _, _, Y in reference_systems]
+    return systems + [build_towers(tm.cylinder(Window(0, 3), "0110"), "full")]
+
+
+class TestExactComparison:
+    """``first_difference`` and ``equal_exact`` decide as the level check
+    plus per-component ``allclose(atol=0.0)`` did, and name the first
+    differing block that a word-by-word ``np.isclose`` finds."""
+
+    def test_sweep_matches_the_allclose_rule(self, reference_systems, tm):
+        rng = np.random.default_rng(17)
+        verdicts = set()
+        for S in _comparison_systems(reference_systems, tm):
+            for left, right in _comparison_pairs(S, rng, 40):
+                for x, y in ((left, right), (right, left)):
+                    want = equal_exact_oracle(x, y)
+                    verdicts.add(want)
+                    assert x.equal_exact(y) is want
+                    assert x.first_difference(y) == first_difference_oracle(x, y)
+        assert verdicts == {True, False}
+
+    def test_special_entries_compare_as_close_at_zero(self, pd_full):
+        # every ordered pair of SPECIAL values at one entry of the top
+        # component, one side widened: -0.0 equals 0.0, inf equals itself,
+        # NaN equals nothing
+        b = StageElement.identity(pd_full)
+        f = b.components[1]
+        wide = Window(f.window.lo - 1, f.window.hi + 2)
+        for x in SPECIAL:
+            for y in SPECIAL:
+                left = _replaced(b, 1, _planted(f, 0, 1, 0, x, f.window))
+                right = _replaced(b, 1, _planted(f, 0, 1, 0, y, wide))
+                same = bool(close(np.array(x), np.array(y), 0.0))
+                assert left.equal_exact(right) is same
+                assert equal_exact_oracle(left, right) is same
+                assert (left.first_difference(right) is None) is same
+
+
+class TestBasisRows:
+    """The matrix units addressed by ``(tower, row, j, k)`` are, in order and
+    byte for byte, the units addressed by word and repaired word by word."""
+
+    def test_row_addressed_basis_matches_word_addressed(self, reference_systems,
+                                                        tm):
+        for S in _comparison_systems(reference_systems, tm):
+            windows = _stage_windows(S)
+            paths = [admissible_sequences(S, l) for l in range(S.m + 1)]
+            words = [sorted(words_on_oracle(T, w))
+                     for T, w in zip(S.bases, windows)]
+            want_slots = basis_slots_oracle(S.bases, windows, S.heights)
+            slots = rsh._basis_slots(S)
+            assert [(i, words[i][row], j, k) for i, row, j, k in slots] \
+                == want_slots
+            for slot, b in zip(want_slots, rsh.stage_basis_elements(S)):
+                want = basis_element_oracle(S.bases, windows, S.heights,
+                                            paths, slot)
+                for got, t in zip(b.components, want, strict=True):
+                    assert got.window == t.window
+                    assert (_table_of_matrices(got.values)
+                            == _table_of_matrices(t.values))
 
 
 # -- positive elements ---------------------------------------------------------
