@@ -264,20 +264,19 @@ def _check_stage_membership(ctx):
 def _check_lift_roundtrip(ctx):
     S = ctx["S"]
     rng = np.random.default_rng(ctx["seed"])
-    pool = list(rsh.stage_basis_elements(S))
-    basis = len(pool)
-    pool += [rsh.sample_stage_element(S, rng) for _ in range(10)]
-    for k, b in enumerate(pool):
-        got = rsh.stage_from_gamma(rsh.lift(S, b), S)
-        where = got.first_difference(b)
+    # built, round-tripped and dropped one by one; never empty (10 samples)
+    pool = itertools.chain(
+        ((b, "basis") for b in rsh.stage_basis_elements(S)),
+        ((rsh.sample_stage_element(S, rng), f"sample {i}") for i in range(10)))
+    for k, (b, kind) in enumerate(pool):
+        where = rsh.stage_from_gamma(rsh.lift(S, b), S).first_difference(b)
         if where is not None:
-            kind = "basis" if k < basis else f"sample {k - basis}"
-            detail = (f"{len(pool)} elements; element {k} ({kind}) differs "
-                      f"at level {where[0]}")
+            detail = (f"{k + 1 + sum(1 for _ in pool)} elements; element {k} "
+                      f"({kind}) differs at level {where[0]}")
             if where[1] is not None:
                 detail += f", word {where[1]!r}"
             return CheckResult("lift-roundtrip", False, 0.0, detail)
-    return CheckResult("lift-roundtrip", True, 0.0, f"{len(pool)} elements")
+    return CheckResult("lift-roundtrip", True, 0.0, f"{k + 1} elements")
 
 
 def _check_pullback(ctx):

@@ -21,7 +21,7 @@ wraps the factored stacks as a stage element and runs ``stage_violations``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, zip_longest
+from itertools import accumulate, chain, zip_longest
 
 import numpy as np
 
@@ -42,7 +42,8 @@ from .errors import (
 )
 from .matrixfn import MatrixCylinderFunction, close
 from .subshift import ClopenSet, PointWindow, Window
-from .towers import AdmissiblePath, RokhlinSystem, admissible_sequences
+from .towers import (AdmissiblePath, RokhlinSystem, admissible_sequences,
+                     boundary_path_cover)
 
 STAGE_TOL = 1e-12
 
@@ -185,9 +186,9 @@ def beta_boundary(S: RokhlinSystem, l: int,
                   b: StageElement) -> MatrixCylinderFunction:
     """The glued boundary function on ``D_l``.
 
-    Well defined because every boundary word lies on at least one path set and
-    overlapping paths give the same matrix for stage-algebra inputs; raises
-    with the offending ``(mu, nu, word)`` when the input is not one.  The
+    Every boundary word lies on a path set.  Overlapping paths of a stage
+    element lie within ``STAGE_TOL`` of ``b_l``, not of each other; raises
+    with the offending ``(mu, nu, word)`` where two differ by more.  The
     violations at level ``k`` read only components ``0 .. k``, so the
     element's stored list, cut below ``l``, decides the lower levels.
     """
@@ -411,44 +412,44 @@ def pullback_isomorphism_check(S: RokhlinSystem, samples: int = 100,
     pullback pairs glue back, lifting inverts the evaluation exactly, and
     nonzero subalgebra elements evaluate nonzero.
 
-    The matrix-unit basis is included in full by default; ``basis_limit``
-    thins it to an evenly spaced subset for systems whose bases carry many
-    words, and only the kept elements are built.
+    The pool is the matrix-unit basis, then random draws up to ``samples``
+    elements; each is built, checked and dropped in turn.  ``basis_limit``
+    thins the basis to an evenly spaced subset, and only the kept elements
+    are built.
+
+    Boundary compatibility is stage membership, read from the kept
+    violation list: path sets lie in ``D_l`` and cover it (checked once per
+    level), so the list names every word of ``D_l`` where ``b_l`` and some
+    path's gluing differ by more than ``STAGE_TOL``.  Two overlapping paths
+    may each lie within ``STAGE_TOL`` of ``b_l`` and differ from each other
+    by more; ``beta_boundary`` raises there, and the verdict here is
+    compatible: membership never compares two paths.  Only members are lifted.
     """
+    uncovered = [l for l in range(1, S.m + 1) if not boundary_path_cover(S, l)]
+    if uncovered:
+        raise InvariantViolated(f"boundary_path_cover fails at levels {uncovered}")
     rng = np.random.default_rng(seed)
     slots = _basis_slots(S)
     if basis_limit is not None and len(slots) > basis_limit:
         stride = len(slots) / basis_limit
         slots = [slots[int(i * stride)] for i in range(basis_limit)]
-    pool = [_basis_element(S, *slot) for slot in slots]
-    while len(pool) < max(samples, len(slots)):
-        if rng.uniform() < 0.5:
-            a = sample_subalgebra_element(S.system, S.Y, rng,
-                                          max(S.heights) + 1)
-            pool.append(stage_from_gamma(a, S))
-        else:
-            pool.append(sample_stage_element(S, rng))
+    draws = (stage_from_gamma(sample_subalgebra_element(
+                 S.system, S.Y, rng, max(S.heights) + 1), S)
+             if rng.uniform() < 0.5 else sample_stage_element(S, rng)
+             for _ in range(samples - len(slots)))
 
-    boundary_ok = True
-    for b in pool:
-        for l in range(1, S.m + 1):
-            if S.boundaries[l].is_empty():
-                continue
-            rho = b.components[l].restrict(S.boundaries[l])
-            glued = beta_boundary(S, l, b)
-            if not rho.allclose(glued, atol=STAGE_TOL):
-                boundary_ok = False
+    boundary_ok = lift_ok = True
+    for b in chain((_basis_element(S, *slot) for slot in slots), draws):
+        if not in_stage_algebra(S, b):
+            boundary_ok = False
+        elif not stage_from_gamma(lift(S, b), S).equal_exact(b):
+            lift_ok = False
 
     pairs_ok = True
     if S.m > 0:
         for _ in range(min(samples, 20)):
             if not in_stage_algebra(S, sample_stage_element(S, rng)):
                 pairs_ok = False
-
-    lift_ok = True
-    for b in pool:
-        if not stage_from_gamma(lift(S, b), S).equal_exact(b):
-            lift_ok = False
 
     inject_ok = True
     for _ in range(min(samples, 25)):
@@ -462,7 +463,7 @@ def pullback_isomorphism_check(S: RokhlinSystem, samples: int = 100,
                           pairs_glue_back=pairs_ok,
                           lift_round_trip=lift_ok,
                           injective_on_samples=inject_ok,
-                          samples=len(pool))
+                          samples=max(samples, len(slots)))
 
 
 # -- approximating systems ---------------------------------------------------------------

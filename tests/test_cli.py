@@ -324,22 +324,35 @@ print(cli.CHECKS["stage-membership"]({"S": S, "seed": 0}).detail)
         assert not failed.passed and failed.deviation > 1e-12
 
     def test_pullback_fails_on_a_moved_boundary_value(self, pd_full,
-                                                      monkeypatch):
-        # planted defect: restricting to a boundary moves the first boundary
-        # word's matrix by 1e-9, beyond the 1e-12 gluing tolerance
+                                                      monkeypatch, capsys):
+        # planted defect: every basis element's top component is moved by
+        # 1e-9, beyond the 1e-12 gluing tolerance, at its first row on the
+        # boundary D_l; the check reads that from the element's violation
+        # list and reports it, where lifting the element would raise
+        config = str(CONFIGS / "period_doubling.json")
         assert cli.CHECKS["pullback"]({"S": pd_full, "seed": 0}).passed
-        restrict = MatrixCylinderFunction.restrict
+        assert run("verify", "--config", config, "--checks", "pullback") == 0
+        basis_element = rsh._basis_element
 
-        def moved(self, subset):
-            f = restrict(self, subset)
-            stack = f._stack.copy()
-            stack[0, 0, 0] += 1e-9
-            return MatrixCylinderFunction._from_stack(f.base, f.window, stack)
+        def moved(S, *slot):
+            b = basis_element(S, *slot)
+            top, D = b.components[-1], S.boundaries[b.level]
+            window = top.window.hull(D.window)
+            row = top.rows_of(D.indices_on(window)[:1], window)[0]
+            stack = top._stack.copy()
+            stack[row, 0, 0] += 1e-9
+            return rsh.StageElement((*b.components[:-1],
+                                     MatrixCylinderFunction._from_stack(
+                                         top.base, top.window, stack)))
 
-        monkeypatch.setattr(MatrixCylinderFunction, "restrict", moved)
+        monkeypatch.setattr(rsh, "_basis_element", moved)
         failed = cli.CHECKS["pullback"]({"S": pd_full, "seed": 0})
         assert not failed.passed
         assert failed.detail == "boundary_compatible"
+        capsys.readouterr()
+        assert run("verify", "--config", config, "--checks", "pullback") == 1
+        out, err = capsys.readouterr()
+        assert "FAIL" in out and "(boundary_compatible)" in out and err == ""
 
     def test_cuntz_sweep_fails_on_a_flipped_domination_rule(self, monkeypatch):
         # planted defect: the one rank-domination rule compares with `<` in

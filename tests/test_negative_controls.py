@@ -87,8 +87,9 @@ CONTROLS = {
          "test_cli.py::TestVerifyCommand::"
          "test_lift_roundtrip_names_first_failing_sample")),
     "pullback": Control(
-        "MatrixCylinderFunction.restrict moves one boundary matrix by 1e-9",
-        "detail boundary_compatible",
+        "_basis_element moves the top component by 1e-9 at its first "
+        "boundary row",
+        "detail boundary_compatible; rokhlin verify exits 1",
         ("test_cli.py::TestVerifyCommand::"
          "test_pullback_fails_on_a_moved_boundary_value",)),
     "approx-diagram": Control(

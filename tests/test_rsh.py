@@ -16,7 +16,12 @@ from rokhlin.crossed import (
     in_ob_subalgebra,
     sample_subalgebra_element,
 )
-from rokhlin.errors import NotInStageAlgebra, NotProductWindowSet, PathMismatch
+from rokhlin.errors import (
+    InvariantViolated,
+    NotInStageAlgebra,
+    NotProductWindowSet,
+    PathMismatch,
+)
 from rokhlin.matrixfn import MatrixCylinderFunction
 from rokhlin.rsh import (
     STAGE_TOL,
@@ -397,6 +402,38 @@ class TestPullback:
         assert rep.passed and rep.samples == limit
         assert len(built) == limit < len(full)
         assert all(b.equal_exact(e) for b, e in zip(built, expected))
+
+    def test_uncovered_boundary_raises(self, pd101_defects):
+        # the boundary verdict rests on the path sets covering D_l, and
+        # decompose runs no paths check, so the pullback check tests the
+        # cover once per level and names the levels where it fails
+        with pytest.raises(InvariantViolated,
+                           match=r"boundary_path_cover fails at levels \[1, 2\]"):
+            pullback_isomorphism_check(pd101_defects["tall-middle"],
+                                       samples=0, basis_limit=1)
+
+    def test_tolerance_band_is_compatible(self, rudin, monkeypatch):
+        # path p glues 0.6 STAGE_TOL above a stage element's top component
+        # and every other path 0.6 STAGE_TOL below, so on an overlap two paths
+        # lie within STAGE_TOL of b_l but 1.2 STAGE_TOL apart: the violation
+        # list is empty, beta_boundary raises, and the pullback check keeps
+        # the verdict its docstring states, compatible
+        l, p = next((l, p) for l in range(1, rudin.m + 1)
+                    for p in admissible_sequences(rudin, l)
+                    if any(q is not p and not (p.path_set & q.path_set).is_empty()
+                           for q in admissible_sequences(rudin, l)))
+        b = sample_stage_element(rudin, np.random.default_rng(5))
+        glued = rsh._glued_stack
+        monkeypatch.setattr(rsh, "_glued_stack", lambda path, *args: glued(
+            path, *args) + (0.6 if path is p else -0.6) * STAGE_TOL)
+        assert stage_violations(rudin, b) == []
+        with pytest.raises(NotInStageAlgebra) as err:
+            beta_boundary(rudin, l, b)
+        assert err.value.violation[0] == l and p.mu in err.value.violation[1]
+        monkeypatch.setattr(rsh, "_basis_element",
+                            lambda S, *slot: StageElement(b.components))
+        rep = pullback_isomorphism_check(rudin, samples=0, basis_limit=1)
+        assert rep.boundary_compatible and rep.passed and rep.samples == 1
 
 
 class TestApproximatingSystem:
