@@ -15,7 +15,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -168,8 +168,7 @@ class CheckResult:
         return line
 
     def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "deviation": self.deviation, "detail": self.detail}
+        return asdict(self)
 
 
 def _check_axioms(ctx):

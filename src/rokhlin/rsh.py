@@ -20,7 +20,7 @@ wraps the factored stacks as a stage element and runs ``stage_violations``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate, chain, zip_longest
 
 import numpy as np
@@ -324,19 +324,26 @@ def _stage_windows(S: RokhlinSystem):
             for pad in accumulate((0, *S.heights[1:]))]
 
 
+def _glued_rows(S: RokhlinSystem, l: int, window: Window) -> list:
+    """``(path, indices, rows)`` per path of tower ``l``, none for tower 0:
+    the path set's indices in ``lexicon(window.length)`` and their rows in
+    base ``l``'s stack on ``window``, which ``_repair_gluing`` overwrites."""
+    paths = admissible_sequences(S, l)
+    base = S.bases[l].indices_on(window) if paths else None
+    sets = [path.path_set.indices_on(window) for path in paths]
+    return [(path, I, np.searchsorted(base, I)) for path, I in zip(paths, sets)]
+
+
 def _repair_gluing(S: RokhlinSystem, components):
-    """Overwrite each component on its path sets with the glued value."""
+    """Overwrite each component on its glued rows with the glued value."""
     out = [components[0]]
     for l in range(1, len(components)):
         comp = components[l]
-        window = comp.window
         staged = StageElement(tuple(out))
         stack = comp._stack.copy()
-        for path in admissible_sequences(S, l):
-            indices = path.path_set.indices_on(window)
-            stack[comp.rows_of(indices, window)] = _glued_stack(
-                path, staged, indices, window)
-        out.append(MatrixCylinderFunction._from_stack(comp.base, window, stack))
+        for path, indices, rows in _glued_rows(S, l, comp.window):
+            stack[rows] = _glued_stack(path, staged, indices, comp.window)
+        out.append(MatrixCylinderFunction._from_stack(comp.base, comp.window, stack))
     return StageElement(tuple(out))
 
 
@@ -361,10 +368,17 @@ def sample_stage_element(S: RokhlinSystem, rng) -> StageElement:
 
 
 def _basis_slots(S: RokhlinSystem) -> list:
-    """``(tower, row, j, k)`` of every matrix-unit generator, in basis order:
-    each index of each free stack, ``sum_i |words_i| * r_i^2`` of them."""
-    return [(i, *slot) for i, shape in enumerate(_stage_shapes(S))
-            for slot in np.ndindex(shape)]
+    """``(tower, row, j, k)`` of every nonzero matrix-unit generator, in
+    basis order: each index of each free stack on a row ``_glued_rows`` does
+    not name, the interior words where the paths cover every ``D_l``.  A unit
+    on a glued row of tower ``i`` is zero, with or without that cover: the
+    repair writes there the glue of the zero components ``0 .. i-1``, and
+    each higher tower glues zeros.  A unit on any other row keeps its ``1``."""
+    slots = []
+    for i, (window, shape) in enumerate(zip(_stage_windows(S), _stage_shapes(S))):
+        glued = {int(r) for *_, rows in _glued_rows(S, i, window) for r in rows}
+        slots += [(i, *slot) for slot in np.ndindex(shape) if slot[0] not in glued]
+    return slots
 
 
 def _basis_element(S: RokhlinSystem, i: int, row: int, j: int, k: int) -> StageElement:
@@ -375,7 +389,8 @@ def _basis_element(S: RokhlinSystem, i: int, row: int, j: int, k: int) -> StageE
 
 
 def stage_basis_elements(S: RokhlinSystem):
-    """Matrix-unit-times-word-indicator generators, repaired into the gluing."""
+    """The nonzero matrix units, one per free coordinate of the pullback
+    (``_basis_slots``), repaired into the gluing."""
     return (_basis_element(S, *slot) for slot in _basis_slots(S))
 
 
@@ -398,11 +413,7 @@ class PullbackReport:
                 and self.lift_round_trip and self.injective_on_samples)
 
     def to_json(self) -> dict:
-        return {"boundary_compatible": self.boundary_compatible,
-                "pairs_glue_back": self.pairs_glue_back,
-                "lift_round_trip": self.lift_round_trip,
-                "injective_on_samples": self.injective_on_samples,
-                "samples": self.samples, "passed": self.passed}
+        return {**asdict(self), "passed": self.passed}
 
 
 def pullback_isomorphism_check(S: RokhlinSystem, samples: int = 100,
@@ -412,7 +423,8 @@ def pullback_isomorphism_check(S: RokhlinSystem, samples: int = 100,
     pullback pairs glue back, lifting inverts the evaluation exactly, and
     nonzero subalgebra elements evaluate nonzero.
 
-    The pool is the matrix-unit basis, then random draws up to ``samples``
+    The pool is the nonzero matrix units of ``_basis_slots`` (the units on
+    glued rows are the zero element), then random draws up to ``samples``
     elements; each is built, checked and dropped in turn.  ``basis_limit``
     thins the basis to an evenly spaced subset, and only the kept elements
     are built.

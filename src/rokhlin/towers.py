@@ -13,7 +13,7 @@ realized paths on it; ``Y_n`` comes from ``ClopenSet.translates``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 
 from .errors import BoundSearchExceeded
@@ -39,10 +39,7 @@ class ReturnProfile:
         return tuple(r for r, _ in self.levels)
 
     def piece(self, r: int) -> ClopenSet:
-        for time, piece in self.levels:
-            if time == r:
-                return piece
-        raise KeyError(r)
+        return dict(self.levels)[r]
 
 
 def return_time_bound(Y: ClopenSet) -> int:
@@ -202,9 +199,7 @@ class AxiomReport:
         return all(self.conditions.values())
 
     def to_json(self) -> dict:
-        return {"conditions": dict(self.conditions),
-                "irredundant": self.irredundant,
-                "passed": self.passed}
+        return {**asdict(self), "passed": self.passed}
 
 
 def verify_rokhlin_axioms(S: RokhlinSystem) -> AxiomReport:
@@ -217,24 +212,18 @@ def verify_rokhlin_axioms(S: RokhlinSystem) -> AxiomReport:
     reported separately; the full variant legitimately fails it whenever a
     boundary is nonempty.
     """
-    profile = S.profile
+    fibers = dict(S.profile.levels)
+    empty = S.system.empty_set()
     conditions = {}
     conditions["bases-cover-Y"] = S._bases_union == S.Y
     conditions["heights-nondecreasing"] = all(
         a <= b for a, b in zip(S.heights, S.heights[1:]))
     conditions["tops-return-to-Y"] = all(
         T.shift(r).issubset(S.Y) for T, r in zip(S.bases, S.heights))
-
-    def fiber(r):
-        try:
-            return profile.piece(r)
-        except KeyError:
-            return S.system.empty_set()
-
     conditions["interior-return-time-exact"] = all(
-        T0.issubset(fiber(r)) for T0, r in zip(S.interiors, S.heights))
+        T0.issubset(fibers.get(r, empty)) for T0, r in zip(S.interiors, S.heights))
     conditions["height-attained-on-base"] = all(
-        (T.is_empty() and r in profile.times) or not (T & fiber(r)).is_empty()
+        (T.is_empty() and r in fibers) or not (T & fibers.get(r, empty)).is_empty()
         for T, r in zip(S.bases, S.heights))
     irredundant = all(not T0.is_empty() and T0 == T
                       for T0, T in zip(S.interiors, S.bases))

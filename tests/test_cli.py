@@ -256,8 +256,8 @@ class TestVerifyCommand:
         slots = rsh._basis_slots(pd_full)
         assert passed.passed
         assert passed.detail == f"{len(slots) + 10} elements"
-        # the first unit whose lift has a degree-1 term (a unit on a
-        # boundary word is glued over and lifts to zero)
+        # the first unit whose lift has a degree-1 term (a unit e_jk lifts
+        # to degree j - k alone)
         k = next(k for k, b in enumerate(rsh.stage_basis_elements(pd_full))
                  if 1 in rsh.lift(pd_full, b).terms)
         tower = slots[k][0]

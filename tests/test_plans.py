@@ -702,26 +702,51 @@ class TestExactComparison:
 
 class TestBasisRows:
     """The matrix units addressed by ``(tower, row, j, k)`` are, in order and
-    byte for byte, the units addressed by word and repaired word by word."""
+    byte for byte, the word-addressed units on words that no path set of
+    their own tower covers, repaired word by word; every word-addressed unit
+    left out repairs to the zero element, and every one kept is nonzero."""
 
     def test_row_addressed_basis_matches_word_addressed(self, reference_systems,
-                                                        tm):
-        for S in _comparison_systems(reference_systems, tm):
+                                                        tm, pd):
+        systems = _comparison_systems(reference_systems, tm)
+        systems.append(build_towers(pd.cylinder(Window(0, 2), "101"), "full"))
+        dropped_total = 0
+        for S in systems:
             windows = _stage_windows(S)
             paths = [admissible_sequences(S, l) for l in range(S.m + 1)]
             words = [sorted(words_on_oracle(T, w))
                      for T, w in zip(S.bases, windows)]
+            glued = [frozenset().union(*(words_on_oracle(path.path_set, w)
+                                         for path in paths[i]))
+                     for i, w in enumerate(windows)]
             want_slots = basis_slots_oracle(S.bases, windows, S.heights)
+            kept = [slot for slot in want_slots if slot[1] not in glued[slot[0]]]
+            dropped = [slot for slot in want_slots if slot[1] in glued[slot[0]]]
             slots = rsh._basis_slots(S)
-            assert [(i, words[i][row], j, k) for i, row, j, k in slots] \
-                == want_slots
-            for slot, b in zip(want_slots, rsh.stage_basis_elements(S)):
+            assert [(i, words[i][row], j, k) for i, row, j, k in slots] == kept
+            for slot, b in zip(kept, rsh.stage_basis_elements(S), strict=True):
                 want = basis_element_oracle(S.bases, windows, S.heights,
                                             paths, slot)
+                assert any(M.any() for t in want for M in t.values.values())
                 for got, t in zip(b.components, want, strict=True):
                     assert got.window == t.window
                     assert (_table_of_matrices(got.values)
                             == _table_of_matrices(t.values))
+            for slot in dropped:
+                want = basis_element_oracle(S.bases, windows, S.heights,
+                                            paths, slot)
+                assert not any(M.any() for t in want for M in t.values.values())
+            dropped_total += len(dropped)
+        assert dropped_total
+
+    def test_pool_is_the_interior_words_times_the_units(self, rudin, pd):
+        # the paths of both systems cover every D_l, so the free rows are
+        # the interior words T_i^0 on each stage window
+        pd101 = build_towers(pd.cylinder(Window(0, 2), "101"), "full")
+        for S, size in ((rudin, 1352), (pd101, 472)):
+            interior = sum(len(T0.indices_on(w)) * r * r for T0, w, r in
+                           zip(S.interiors, _stage_windows(S), S.heights))
+            assert len(rsh._basis_slots(S)) == interior == size
 
 
 # -- positive elements ---------------------------------------------------------
