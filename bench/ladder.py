@@ -20,12 +20,16 @@ side runs, which is a smoke test of the ladder itself.
 The result goes to ``OUT/BENCH_<label>.json``: the Python and numpy versions
 and the core count, every run (seconds and exit code per item, a SHA-256 of
 each item's output, peak RSS per process), and per (rung, item) the median
-and quartiles of each side.  An item is flagged ``slower`` (``faster``) when
-the change's median exceeds (falls short of) the base's by more than the
-base's interquartile range; on items of a few milliseconds either flag also
-comes up between two checkouts of the same code, so read them over many
-runs.  ``same_output`` says whether both sides printed the same bytes in
-every run.
+and quartiles of each side.  Each change process is paired with the base
+process of the same run, which ran next to it, so the two share the host's
+state of the moment: on a small shared host a process may run in one of
+two speed phases about 1.8x apart, and every item of one process moves
+with it.  Per (rung, item) the report gives the median of the paired
+ratios change / base and how many pairs each side won; an item is flagged
+``faster`` (``slower``) when the change wins (loses) at least nine tenths
+of its pairs, so with few runs a flag says little (one run: one pair
+decides).  ``same_output`` says whether both sides printed the same
+bytes in every run.
 """
 
 from __future__ import annotations
@@ -130,9 +134,9 @@ def _quartiles(values: list) -> tuple:
 
 
 def _summary(runs: list, sides: list) -> dict:
-    """Per rung and item: each side's median and quartiles, whether the
-    change is slower beyond the base's interquartile range, and whether
-    every run printed the same bytes."""
+    """Per rung and item: each side's median and quartiles, the paired
+    ratios and the flags they give, and whether every run printed the same
+    bytes."""
     out = {}
     for run in runs:
         for item in run["items"]:
@@ -148,10 +152,18 @@ def _summary(runs: list, sides: list) -> dict:
                 entry[side] = {"median_s": median, "q1_s": q1, "q3_s": q3,
                                "runs": len(times)}
             if len(sides) == 2:
-                base, change = entry["base"], entry["change"]
-                spread = base["q3_s"] - base["q1_s"]
-                entry["slower"] = change["median_s"] - base["median_s"] > spread
-                entry["faster"] = base["median_s"] - change["median_s"] > spread
+                pairs = {}
+                for r in mine:
+                    pairs.setdefault(r["run"], {})[r["side"]] = \
+                        r["items"][item]["seconds"]
+                ratios = [p["change"] / p["base"] for p in pairs.values()]
+                won = sum(x < 1 for x in ratios)
+                lost = sum(x > 1 for x in ratios)
+                entry["paired"] = {"median_ratio": float(np.median(ratios)),
+                                   "change_won": won, "base_won": lost,
+                                   "pairs": len(ratios)}
+                entry["faster"] = won >= 0.9 * len(ratios)
+                entry["slower"] = lost >= 0.9 * len(ratios)
             entry["same_output"] = len({(r["items"][item]["sha256"],
                                          r["items"][item]["exit"])
                                         for r in mine}) == 1
@@ -223,6 +235,10 @@ def main(argv=None) -> int:
         for item, entry in items.items():
             cells = "  ".join(f"{side} {entry[side]['median_s']:8.3f} s"
                               for side in sides)
+            if "paired" in entry:
+                paired = entry["paired"]
+                cells += (f"  ratio {paired['median_ratio']:.3f}"
+                          f" won {paired['change_won']}/{paired['pairs']}")
             flags = ("" if entry["same_output"] else "  OUTPUT DIFFERS") + (
                 "  SLOWER" if entry.get("slower") else "") + (
                 "  FASTER" if entry.get("faster") else "")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate, chain, zip_longest
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .errors import (
     NotInStageAlgebra,
     NotProductWindowSet,
     PathMismatch,
+    WindowTooSmall,
 )
 from .matrixfn import MatrixCylinderFunction, close
 from .subshift import ClopenSet, PointWindow, Window
@@ -97,23 +99,178 @@ def stage_from_gamma(a: FormalElement, S: RokhlinSystem) -> StageElement:
 
 
 # -- gluing maps ------------------------------------------------------------------
+#
+# A gluing reads the lower components through one flat array (``_flat``):
+# each glued matrix entry is a position in it, and slot 0 holds the zero that
+# the entries off the blocks read.  A level's positions, with the words and
+# rows they belong to, form a plan kept on the system (``_kept``), so gluing
+# a level is one gather per call.
 
 
-def _glued_stack(path: AdmissiblePath, b: StageElement, indices,
+def _flat(components) -> np.ndarray:
+    """``0j``, then each component's stack raveled, in order."""
+    return np.concatenate([np.zeros(1, dtype=complex),
+                           *(f._stack.ravel() for f in components)])
+
+
+def _starts(components) -> list:
+    """Where each component's stack starts in ``_flat(components)``, and the
+    flat length last."""
+    return list(accumulate((f._stack.size for f in components), initial=1))
+
+
+def _frozen(a: np.ndarray, bound: int) -> np.ndarray:
+    """``a``, whose values are at most ``bound``, as a read-only array of the
+    smallest unsigned type that holds ``bound``."""
+    a = a.astype(np.min_scalar_type(bound))
+    a.setflags(write=False)
+    return a
+
+
+def _kept(S: RokhlinSystem, key: tuple, components, build):
+    """The plan ``build()`` under ``key``, kept on ``S`` from the first call.
+    Only components on the system's own bases (``is S.bases[i]``) share
+    plans; for any other base the plan is built for the call and dropped."""
+    own = all(f.base is T for f, T in zip(components, S.bases))
+    plan = S._level_plans.get(key) if own else None
+    if plan is None:
+        plan = build()
+        if own:
+            S._level_plans[key] = plan
+    return plan
+
+
+def _rows(f: MatrixCylinderFunction, indices, window: Window) -> np.ndarray:
+    """``f.rows_of(indices, window)`` as ``intp``; a word off the base raises
+    ``PathMismatch`` naming it, as ``f.stack`` does."""
+    rows = f.rows_of(indices, window).astype(np.intp)
+    if (rows == len(f._stack)).any():
+        f.stack(indices, window)
+    return rows
+
+
+def _glued_index(path: AdmissiblePath, components, indices,
                  window: Window) -> np.ndarray:
-    """The gluing along ``path`` at every point whose word on ``window`` is
-    ``lexicon(window.length)[0][indices]``, stacked in that order: block
-    ``s`` is component ``mu(s)`` read ``offsets[s]`` steps along the orbit."""
-    comps = [b.components[idx] for idx in path.mu]
-    size = sum(comp.size for comp in comps)
-    out = np.zeros((len(indices), size, size), dtype=complex)
+    """The gluing along ``path`` at the words ``lexicon(window.length)[0][
+    indices]``, as positions in ``_flat(components)``: block ``s`` is
+    component ``mu(s)`` read ``offsets[s]`` steps along the orbit, and the
+    entries off the blocks read slot 0.  Every gluing is read through this."""
+    starts = _starts(components)
+    size = sum(components[idx].size for idx in path.mu)
+    out = np.zeros((len(indices), size, size), dtype=np.intp)
     pos = 0
-    for comp, off in zip(comps, path.offsets):
-        k = comp.size
-        out[:, pos : pos + k, pos : pos + k] = comp.stack(indices,
-                                                          window.shift(-off))
+    for idx, off in zip(path.mu, path.offsets):
+        k = components[idx].size
+        rows = _rows(components[idx], indices, window.shift(-off))
+        out[:, pos : pos + k, pos : pos + k] = (
+            starts[idx] + rows[:, None, None] * (k * k)
+            + np.arange(k * k).reshape(k, k))
         pos += k
     return out
+
+
+class Gluing(NamedTuple):
+    """The gluing of tower ``level`` along all its paths, in (path, word)
+    order.  Entry ``e`` is the word ``words[e]`` of path ``path[e]`` (its
+    index in ``admissible_sequences``); ``rows[e]`` is its row in the stack
+    of ``count`` rows that the glue is compared with or written to, and
+    ``glue[e]`` its glued matrix as positions in the flat stacks.  Paths
+    overlap, so rows recur: ``first`` and ``last`` are each row's first and
+    last entry, in row order, and ``repeat`` the entries that are not their
+    row's first, which is ``earlier``.  ``window`` is the hull of the windows
+    the paths are read on.  The arrays are read-only, of the smallest
+    unsigned type (``words`` holds strings)."""
+
+    level: int
+    window: Window
+    count: int
+    path: np.ndarray
+    words: np.ndarray
+    rows: np.ndarray
+    glue: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    repeat: np.ndarray
+    earlier: np.ndarray
+
+
+def _gluing(S: RokhlinSystem, l: int, components, window: Window, count: int,
+            reads) -> Gluing:
+    """The ``Gluing`` of tower ``l`` whose path ``p`` is read at the words
+    ``indices`` on ``window_p`` with their ``rows``: ``reads[p]`` is
+    ``(indices, window_p, rows)``."""
+    paths = admissible_sequences(S, l)
+    r = S.heights[l]
+    parts = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=object),
+              np.zeros(0, dtype=np.intp), np.zeros((0, r, r), dtype=np.intp))]
+    for p, (path, (I, w, rows)) in enumerate(zip(paths, reads)):
+        parts.append((np.full(len(I), p), S.system.lexicon(w.length)[0][I],
+                      rows, _glued_index(path, components, I, w)))
+    path_of, words, rows, glue = (np.concatenate(part) for part in zip(*parts))
+    words.setflags(write=False)
+    n = len(rows)
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    _, back = np.unique(rows[::-1], return_index=True)
+    repeat = np.flatnonzero(first[inverse] != np.arange(n))
+    return Gluing(l, window, count, _frozen(path_of, len(paths)), words,
+                  _frozen(rows, count),
+                  _frozen(glue, _starts(components[:l])[-1]),
+                  _frozen(first, n), _frozen(n - 1 - back, n),
+                  _frozen(repeat, n), _frozen(first[inverse[repeat]], n))
+
+
+def _glue(plan: Gluing, flat: np.ndarray) -> np.ndarray:
+    """The glued matrices of every entry of ``plan``, read from ``flat``."""
+    return flat[plan.glue]
+
+
+def _path_eval_window(path: AdmissiblePath, components,
+                      window: Window) -> Window:
+    """``window`` widened to carry the path set and every glued block."""
+    spans = [window, path.path_set.window]
+    spans += [components[idx].window.shift(off)
+              for idx, off in zip(path.mu, path.offsets)]
+    return Window(min(w.lo for w in spans), max(w.hi for w in spans))
+
+
+def _stage_gluing(S: RokhlinSystem, components) -> Gluing:
+    """The gluing of the top component of ``components`` against the ones
+    below: each path read on the top window widened to carry it, each word
+    at the top component's row."""
+    l = len(components) - 1
+    top = components[l]
+
+    def build():
+        reads = []
+        window = top.window
+        for path in admissible_sequences(S, l):
+            w = _path_eval_window(path, components, top.window)
+            I = path.path_set.indices_on(w)
+            reads.append((I, w, _rows(top, I, w)))
+            window = window.hull(w)
+        return _gluing(S, l, components, window, len(top._stack), reads)
+
+    return _kept(S, ("stage", tuple(f.window for f in components)),
+                 components, build)
+
+
+def _boundary_gluing(S: RokhlinSystem, l: int, components) -> Gluing:
+    """The gluing of tower ``l`` from ``components`` ``0 .. l-1`` on ``D_l``:
+    every path read on one window that carries them all, each word at its
+    row of ``D_l``, where the path sets lie."""
+    def build():
+        D = S.boundaries[l]
+        paths = admissible_sequences(S, l)
+        window = D.window
+        for path in paths:
+            window = _path_eval_window(path, components, window)
+        expected = D.indices_on(window)
+        reads = [(I, window, np.searchsorted(expected, I))
+                 for I in (path.path_set.indices_on(window) for path in paths)]
+        return _gluing(S, l, components, window, len(expected), reads)
+
+    return _kept(S, ("boundary", l, tuple(f.window for f in components)),
+                 components, build)
 
 
 def beta_path(S: RokhlinSystem, l: int, path: AdmissiblePath, b: StageElement,
@@ -129,42 +286,33 @@ def beta_path(S: RokhlinSystem, l: int, path: AdmissiblePath, b: StageElement,
     if not path.path_set.contains_point(x):
         raise PathMismatch(f"point is not in the path set of mu={path.mu}")
     index = x.system.lexicon(x.window.length)[1][x.word]
-    return _glued_stack(path, b, [index], x.window)[0]
-
-
-def _path_eval_window(path: AdmissiblePath, b: StageElement,
-                      window: Window) -> Window:
-    """``window`` widened to carry the path set and every glued block."""
-    spans = [window, path.path_set.window]
-    spans += [b.components[idx].window.shift(off)
-              for idx, off in zip(path.mu, path.offsets)]
-    return Window(min(w.lo for w in spans), max(w.hi for w in spans))
+    return _flat(b.components)[_glued_index(path, b.components, [index],
+                                            x.window)][0]
 
 
 def stage_violations(S: RokhlinSystem, b: StageElement):
     """All gluing violations ``(level, mu, word)``, by level, path and word.
 
-    One comparison per (level, path): the top component's values and the
-    glued values over the words of the path set are stacked and compared at
-    once.  Raises ``ValueError`` when a component's size is not its tower's
-    height.
+    One comparison per level: the top component's rows at the words of
+    every path set, each path's read on the narrowest window that carries
+    it, against their glued values, one gather through the level's kept
+    gluing plan.  Raises ``ValueError`` when a component's size is not its
+    tower's height.
     """
     for i, comp in enumerate(b.components):
         if comp.size != S.heights[i]:
             raise ValueError(f"component {i} has size {comp.size}, "
                              f"expected {S.heights[i]}")
     violations = []
+    flat = _flat(b.components[:-1])
     for l in range(1, b.level + 1):
-        comp = b.components[l]
-        for path in admissible_sequences(S, l):
-            window = _path_eval_window(path, b, comp.window)
-            indices = path.path_set.indices_on(window)
-            ok = close(comp.stack(indices, window),
-                       _glued_stack(path, b, indices, window),
-                       STAGE_TOL).all(axis=(1, 2))
-            if not ok.all():
-                words = S.system.lexicon(window.length)[0][indices[~ok]]
-                violations += [(l, path.mu, w) for w in words.tolist()]
+        plan = _stage_gluing(S, b.components[: l + 1])
+        ok = close(b.components[l]._stack[plan.rows], _glue(plan, flat),
+                   STAGE_TOL).all(axis=(1, 2))
+        if not ok.all():
+            paths = admissible_sequences(S, l)
+            violations += [(l, paths[p].mu, w) for p, w in
+                           zip(plan.path[~ok].tolist(), plan.words[~ok].tolist())]
     return violations
 
 
@@ -186,11 +334,13 @@ def beta_boundary(S: RokhlinSystem, l: int,
                   b: StageElement) -> MatrixCylinderFunction:
     """The glued boundary function on ``D_l``.
 
-    Every boundary word lies on a path set.  Overlapping paths of a stage
-    element lie within ``STAGE_TOL`` of ``b_l``, not of each other; raises
-    with the offending ``(mu, nu, word)`` where two differ by more.  The
-    violations at level ``k`` read only components ``0 .. k``, so the
-    element's stored list, cut below ``l``, decides the lower levels.
+    Every boundary word lies on a path set; the first path that reaches it
+    gives its value.  Overlapping paths of a stage element lie within
+    ``STAGE_TOL`` of ``b_l``, not of each other; raises with the first
+    offending ``(mu, nu, word)`` in path and word order where a later path
+    differs from the first by more.  The violations at level ``k`` read only
+    components ``0 .. k``, so the element's stored list, cut below ``l``,
+    decides the lower levels.
     """
     if b.level < l - 1:
         raise ValueError("need components for every tower below the boundary level")
@@ -199,36 +349,27 @@ def beta_boundary(S: RokhlinSystem, l: int,
         raise NotInStageAlgebra(
             "components below the boundary level violate their own gluing",
             violation=violations[0])
+    components = b.components[:l]
+    plan = _boundary_gluing(S, l, components)
+    glued = _glue(plan, _flat(components))
+    agree = close(glued[plan.repeat], glued[plan.earlier],
+                  STAGE_TOL).all(axis=(1, 2))
+    if not agree.all():
+        k = agree.argmin()
+        paths = admissible_sequences(S, l)
+        mu = paths[plan.path[plan.earlier[k]]].mu
+        nu = paths[plan.path[plan.repeat[k]]].mu
+        w = plan.words[plan.repeat[k]]
+        raise NotInStageAlgebra(f"paths {mu} and {nu} disagree at {w!r}",
+                                violation=(l, (mu, nu), w))
     D = S.boundaries[l]
-    paths = admissible_sequences(S, l)
-    window = D.window
-    for path in paths:
-        window = _path_eval_window(path, b, window)
-    # path sets lie in D (T_l meets T_{mu_0} only on the boundary), so each
-    # path's words are rows of D; origin[row] is the first path to fill it
-    words = S.system.lexicon(window.length)[0]
-    expected = D.indices_on(window)
-    r = S.heights[l]
-    out = np.zeros((len(expected), r, r), dtype=complex)
-    origin = np.full(len(expected), -1)
-    for p, path in enumerate(paths):
-        indices = path.path_set.indices_on(window)
-        rows = np.searchsorted(expected, indices)
-        glued = _glued_stack(path, b, indices, window)
-        seen = origin[rows] >= 0
-        agree = close(glued, out[rows], STAGE_TOL).all(axis=(1, 2)) | ~seen
-        if not agree.all():
-            k = agree.argmin()
-            mu, nu = paths[origin[rows[k]]].mu, path.mu
-            w = words[indices[k]]
-            raise NotInStageAlgebra(f"paths {mu} and {nu} disagree at {w!r}",
-                                    violation=(l, (mu, nu), w))
-        out[rows[~seen]] = glued[~seen]
-        origin[rows[~seen]] = p
-    if (origin < 0).any():
-        raise InvariantViolated("boundary words not covered by any path: "
-                                f"{words[expected[origin < 0]].tolist()}")
-    return MatrixCylinderFunction._from_stack(D, window, out)
+    if len(plan.first) < plan.count:
+        missing = np.setdiff1d(np.arange(plan.count), plan.rows)
+        words = S.system.lexicon(plan.window.length)[0]
+        raise InvariantViolated(
+            "boundary words not covered by any path: "
+            f"{words[D.indices_on(plan.window)[missing]].tolist()}")
+    return MatrixCylinderFunction._from_stack(D, plan.window, glued[plan.first])
 
 
 # -- constructive lifting ------------------------------------------------------------
@@ -258,6 +399,52 @@ def _level_plan(S: RokhlinSystem, level: int, window: Window) -> tuple:
     return plan
 
 
+class LiftPlan(NamedTuple):
+    """Where ``lift`` reads each degree column: ``index[top + n, w]`` is the
+    position in the flat stacks of the entry that degree ``n`` takes at word
+    ``w`` of ``lexicon(window.length)``, slot 0 where it takes none, and
+    ``rank[w]`` the word's place in the level plan's order.  Read-only, of
+    the smallest unsigned type."""
+
+    window: Window
+    top: int
+    index: np.ndarray
+    rank: np.ndarray
+
+
+def _lift_plan(S: RokhlinSystem, components) -> LiftPlan:
+    """The ``LiftPlan`` of ``components``, derived from the level plan: a
+    word on level ``(l, j)`` takes ``M[j, j - n]`` in degree ``n`` and
+    ``M[j - n, j]`` in degree ``-n``, ``M`` its row of ``b_l`` at ``h^{-j}``."""
+    def build():
+        level = len(components) - 1
+        spans = [L.window for l in range(level + 1) for L in S.levels[l]]
+        spans += [Window(f.window.lo - S.heights[l] + 1, f.window.hi)
+                  for l, f in enumerate(components)]
+        window = Window(min(w.lo for w in spans), max(w.hi for w in spans))
+        # row top + n holds degree n; terms come in the plan's order (rank)
+        top = max(S.heights[: level + 1]) - 1
+        count = S.system.complexity(window.length)
+        starts = _starts(components)
+        index = np.zeros((2 * top + 1, count), dtype=np.intp)
+        rank = np.full(count, count)
+        placed = 0
+        for l, j, I in _level_plan(S, level, window):
+            r = components[l].size
+            at = starts[l] + _rows(components[l], I, window.shift(j)) * (r * r)
+            # M[j, k] goes to degree j - k and M[k, j] to degree k - j
+            k = np.arange(j + 1)[:, None]
+            index[top + j - k, I] = at + j * r + k
+            index[top - j + k[:j], I] = at + k[:j] * r + j
+            rank[I] = placed + np.arange(len(I))
+            placed += len(I)
+        return LiftPlan(window, top, _frozen(index, starts[-1]),
+                        _frozen(rank, count))
+
+    return _kept(S, ("lift", tuple(f.window for f in components)),
+                 components, build)
+
+
 def lift(S: RokhlinSystem, b: StageElement) -> FormalElement:
     """A series in the orbit-breaking subalgebra whose evaluation is ``b``.
 
@@ -271,9 +458,10 @@ def lift(S: RokhlinSystem, b: StageElement) -> FormalElement:
     ``D_l`` are never read, so a lift carries the glued values there.
 
     Which word lies on which level is the system's level plan for this
-    stage level and window, built once; row ``j`` and column ``j`` of each
-    level's stacked matrices are scattered into one column per degree.
-    Entries equal to zero are not copied, so a signed zero reads ``+0``.
+    stage level and window; the lift plan derived from it, kept per
+    component windows, fills every degree column with one gather from the
+    components' flat stacks.  Entries equal to zero are not copied, so a
+    signed zero reads ``+0``.
     """
     violations = checked_violations(S, b)
     if violations:
@@ -282,31 +470,16 @@ def lift(S: RokhlinSystem, b: StageElement) -> FormalElement:
             f"gluing violated at level {l}, mu={mu}, word {word!r}",
             violation=violations[0])
     system = S.system
-    spans = [L.window for l in range(b.level + 1) for L in S.levels[l]]
-    spans += [Window(comp.window.lo - S.heights[l] + 1, comp.window.hi)
-              for l, comp in enumerate(b.components)]
-    window = Window(min(w.lo for w in spans), max(w.hi for w in spans))
-    # row top + n holds degree n; terms come in the plan's order (rank)
-    top = max(S.heights[: b.level + 1]) - 1
-    count = system.complexity(window.length)
-    columns = np.zeros((2 * top + 1, count), dtype=complex)
-    rank = np.full(count, count)
-    placed = 0
-    for l, j, I in _level_plan(S, b.level, window):
-        blocks = b.components[l].stack(I, window.shift(j))
-        # M[j, k] goes to degree j - k and M[k, j] to degree k - j
-        k = np.arange(j + 1)
-        columns[top + j - k[:, None], I] = blocks[:, j, : j + 1].T
-        columns[top - j + k[:j, None], I] = blocks[:, :j, j].T
-        rank[I] = placed + np.arange(len(I))
-        placed += len(I)
+    plan = _lift_plan(S, b.components)
+    top, count = plan.top, len(plan.rank)
+    columns = _flat(b.components)[plan.index]
     nonzero = columns != 0
-    first = np.where(nonzero, rank, count).min(axis=1).tolist()
+    first = np.where(nonzero, plan.rank, count).min(axis=1).tolist()
     degrees = sorted((n for n in range(-top, top + 1) if first[top + n] < count),
                      key=lambda n: (first[top + n], abs(n), n < 0))
     a = FormalElement(system, {
         n: CylinderFunction._from_column(
-            system, window.shift(max(0, -n)),
+            system, plan.window.shift(max(0, -n)),
             np.where(nonzero[top + n], columns[top + n], 0))
         for n in degrees})
     if not in_ob_subalgebra(a, S.Y):
@@ -324,25 +497,22 @@ def _stage_windows(S: RokhlinSystem):
             for pad in accumulate((0, *S.heights[1:]))]
 
 
-def _glued_rows(S: RokhlinSystem, l: int, window: Window) -> list:
-    """``(path, indices, rows)`` per path of tower ``l``, none for tower 0:
-    the path set's indices in ``lexicon(window.length)`` and their rows in
-    base ``l``'s stack on ``window``, which ``_repair_gluing`` overwrites."""
-    paths = admissible_sequences(S, l)
-    base = S.bases[l].indices_on(window) if paths else None
-    sets = [path.path_set.indices_on(window) for path in paths]
-    return [(path, I, np.searchsorted(base, I)) for path, I in zip(paths, sets)]
-
-
 def _repair_gluing(S: RokhlinSystem, components):
-    """Overwrite each component on its glued rows with the glued value."""
+    """Overwrite each component on the rows of its path-set words with the
+    glue of the components already repaired: the rows and positions of the
+    level's kept gluing plan, which must read every path on the component's
+    own window.  Where path sets overlap the last path's entry is written,
+    so no row is written twice; the components below are repaired, so the
+    overlapping paths glue copies of the same entries."""
     out = [components[0]]
     for l in range(1, len(components)):
         comp = components[l]
-        staged = StageElement(tuple(out))
+        plan = _stage_gluing(S, components[: l + 1])
+        if plan.window != comp.window:
+            raise WindowTooSmall(f"{comp.window} does not carry the gluing "
+                                 f"of tower {l}")
         stack = comp._stack.copy()
-        for path, indices, rows in _glued_rows(S, l, comp.window):
-            stack[rows] = _glued_stack(path, staged, indices, comp.window)
+        stack[plan.rows[plan.last]] = _glue(plan, _flat(out))[plan.last]
         out.append(MatrixCylinderFunction._from_stack(comp.base, comp.window, stack))
     return StageElement(tuple(out))
 
@@ -354,11 +524,15 @@ def _stage_shapes(S: RokhlinSystem) -> list:
             for T, w, r in zip(S.bases, _stage_windows(S), S.heights)]
 
 
+def _on_stage_windows(S: RokhlinSystem, stacks) -> list:
+    """The free ``stacks`` as components on the stage windows."""
+    return [MatrixCylinderFunction._from_stack(T, w, stack)
+            for T, w, stack in zip(S.bases, _stage_windows(S), stacks)]
+
+
 def _stage_element(S: RokhlinSystem, stacks) -> StageElement:
     """The free ``stacks`` on the stage windows, repaired into the gluing."""
-    return _repair_gluing(S, [
-        MatrixCylinderFunction._from_stack(T, w, stack)
-        for T, w, stack in zip(S.bases, _stage_windows(S), stacks)])
+    return _repair_gluing(S, _on_stage_windows(S, stacks))
 
 
 def sample_stage_element(S: RokhlinSystem, rng) -> StageElement:
@@ -369,14 +543,18 @@ def sample_stage_element(S: RokhlinSystem, rng) -> StageElement:
 
 def _basis_slots(S: RokhlinSystem) -> list:
     """``(tower, row, j, k)`` of every nonzero matrix-unit generator, in
-    basis order: each index of each free stack on a row ``_glued_rows`` does
-    not name, the interior words where the paths cover every ``D_l``.  A unit
-    on a glued row of tower ``i`` is zero, with or without that cover: the
-    repair writes there the glue of the zero components ``0 .. i-1``, and
-    each higher tower glues zeros.  A unit on any other row keeps its ``1``."""
+    basis order: each index of each free stack on a row that the tower's
+    gluing plan does not write, the interior words where the paths cover
+    every ``D_l``.  A unit on a glued row of tower ``i`` is zero, with or
+    without that cover: the repair writes there the glue of the zero
+    components ``0 .. i-1``, and each higher tower glues zeros.  A unit on
+    any other row keeps its ``1``."""
+    shapes = _stage_shapes(S)
+    free = _on_stage_windows(S, [np.zeros(shape, dtype=complex)
+                                for shape in shapes])
     slots = []
-    for i, (window, shape) in enumerate(zip(_stage_windows(S), _stage_shapes(S))):
-        glued = {int(r) for *_, rows in _glued_rows(S, i, window) for r in rows}
+    for i, shape in enumerate(shapes):
+        glued = set(_stage_gluing(S, free[: i + 1]).rows.tolist())
         slots += [(i, *slot) for slot in np.ndindex(shape) if slot[0] not in glued]
     return slots
 

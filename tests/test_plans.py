@@ -30,6 +30,7 @@ from oracles import (
     first_difference_oracle,
     form_key,
     gamma_component_oracle,
+    gluing_violations_oracle,
     lift_oracle,
     lift_series_oracle,
     matrix_restrict_oracle,
@@ -77,7 +78,9 @@ from rokhlin.cuntz import (
 )
 from rokhlin.errors import (
     BoundSearchExceeded,
+    InvariantViolated,
     NonPrimitive,
+    NotInStageAlgebra,
     NotHermitian,
     PathMismatch,
     PeriodicSystem,
@@ -85,6 +88,7 @@ from rokhlin.errors import (
 )
 from rokhlin.matrixfn import MatrixCylinderFunction, close
 from rokhlin.rsh import (
+    STAGE_TOL,
     StageElement,
     _repair_gluing,
     _stage_windows,
@@ -94,6 +98,7 @@ from rokhlin.rsh import (
     phi_range_check,
     sample_stage_element,
     stage_from_gamma,
+    stage_violations,
 )
 from rokhlin.subshift import ClopenSet, SubstitutionSystem, Window
 from rokhlin.towers import admissible_sequences, build_towers
@@ -747,6 +752,250 @@ class TestBasisRows:
             interior = sum(len(T0.indices_on(w)) * r * r for T0, w, r in
                            zip(S.interiors, _stage_windows(S), S.heights))
             assert len(rsh._basis_slots(S)) == interior == size
+
+
+# -- gluing plans --------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def bench_systems(pd, tm, rudin):
+    """The four tower systems that the benchmark queries: period-doubling
+    ``101`` and ``10101``, Thue-Morse ``0110`` and Rudin-Shapiro ``a``."""
+    return [build_towers(pd.cylinder(Window(0, 2), "101"), "full"),
+            build_towers(pd.cylinder(Window(0, 4), "10101"), "full"),
+            build_towers(tm.cylinder(Window(0, 3), "0110"), "full"), rudin]
+
+
+def _moved(b: StageElement, l: int, row: int, delta: float) -> StageElement:
+    """``b`` with entry ``(0, r - 1)`` of row ``row`` of component ``l``
+    moved by ``delta``."""
+    f = b.components[l]
+    stack = f._stack.copy()
+    stack[row, 0, -1] += delta
+    return _replaced(b, l, MatrixCylinderFunction._from_stack(f.base, f.window,
+                                                              stack))
+
+
+def _plan_elements(S, rng) -> list:
+    """Dense, sparse, basis and planted-defect elements: a sample of the
+    stage algebra, the evaluation of a one-term subalgebra element, three
+    matrix units, and the sample with one entry moved by 1e-9 on the first
+    glued row of the top component, on the first row of component 0 (which
+    every higher gluing may read) and by 1e-13, inside the tolerance."""
+    dense = sample_stage_element(S, rng)
+    a = FormalElement.zero(S.system)
+    while a.is_zero():
+        a = sample_subalgebra_element(S.system, S.Y, rng, max(S.heights) - 1,
+                                      max_support=1)
+    slots = rsh._basis_slots(S)
+    units = [rsh._basis_element(S, *slots[k]) for k in (0, len(slots) // 2, -1)]
+    glued = rsh._stage_gluing(S, dense.components).rows
+    top = int(glued[0]) if len(glued) else 0
+    return [dense, stage_from_gamma(a, S), *units,
+            _moved(dense, S.m, top, 1e-9), _moved(dense, 0, 0, 1e-9),
+            _moved(dense, S.m, top, 1e-13)]
+
+
+def _plan_outputs(S, b: StageElement) -> tuple:
+    """Every result that reads gluing or lift plans, as bytes or errors:
+    the violation list, each glued boundary, the lift and the repair of
+    ``b``'s components."""
+    def attempt(fn):
+        try:
+            return fn()
+        except (NotInStageAlgebra, WindowTooSmall) as e:
+            return type(e).__name__, str(e), getattr(e, "violation", None)
+
+    def boundary(l):
+        g = beta_boundary(S, l, b)
+        return g.window, g._stack.tobytes()
+
+    def lifted():
+        return json.dumps(lift(S, b).to_json()).encode()
+
+    def repaired():
+        # the repair never changes component 0
+        return [(f.window, f._stack.tobytes())
+                for f in _repair_gluing(S, list(b.components)).components[1:]]
+
+    return (stage_violations(S, b),
+            [attempt(lambda: boundary(l)) for l in range(1, S.m + 1)],
+            attempt(lifted), attempt(repaired))
+
+
+def _plan_bytes(plan):
+    """A plan's arrays as (dtype, bytes), its other fields as they are."""
+    if isinstance(plan, np.ndarray):
+        return plan.dtype, (plan.tolist() if plan.dtype == object
+                            else plan.tobytes())
+    if isinstance(plan, tuple):
+        return tuple(_plan_bytes(part) for part in plan)
+    return plan
+
+
+class TestGluingPlans:
+    """Gluing, glued boundaries, the repair and ``lift`` read index plans
+    kept on the system per level and component windows.  They equal the
+    word-by-word rules on every kind of element of the benchmark systems;
+    a kept plan gives the bytes of a fresh one; plans are kept only for the
+    system's own bases; every plan array is read-only and of the smallest
+    unsigned type; and a plan's invariants raise, not assert."""
+
+    def test_plans_match_word_rules(self, bench_systems):
+        rng = np.random.default_rng(29)
+        overlaps = 0
+        for S in bench_systems:
+            paths = [admissible_sequences(S, l) for l in range(S.m + 1)]
+            for b in _plan_elements(S, rng):
+                tables = [matrix_table_of(f) for f in b.components]
+                want = gluing_violations_oracle(tables, paths, STAGE_TOL)
+                assert stage_violations(S, b) == want
+                for l in range(1, S.m + 1):
+                    below = [v for v in want if v[0] < l]
+                    if below:
+                        with pytest.raises(NotInStageAlgebra) as err:
+                            beta_boundary(S, l, b)
+                        assert err.value.violation == below[0]
+                        continue
+                    got = beta_boundary(S, l, b)
+                    window, table = beta_boundary_oracle(S.boundaries[l],
+                                                         paths[l], tables)
+                    assert got.window == window
+                    assert _table_of_matrices(got.values) == _table_of_matrices(table)
+                if want:
+                    with pytest.raises(NotInStageAlgebra):
+                        lift(S, b)
+                else:
+                    left, right = _series_bytes(lift(S, b),
+                                                lift_series_oracle(S, b))
+                    assert left == right
+                try:
+                    repaired = _repair_gluing(S, list(b.components))
+                except WindowTooSmall:
+                    # a γ image's window may not carry its paths' gluing
+                    assert b.components[-1].window != _stage_windows(S)[-1]
+                    continue
+                for got, t in zip(repaired.components,
+                                  repair_gluing_oracle(tables, paths)):
+                    assert got.window == t.window
+                    assert _table_of_matrices(got.values) == _table_of_matrices(t.values)
+            overlaps += sum(
+                len(plan.last) < len(plan.rows)
+                for plan in (rsh._stage_gluing(S, b.components[: l + 1])
+                             for l in range(1, S.m + 1)))
+        # Rudin-Shapiro's paths overlap, so the repair's rows repeat and the
+        # last path's value must win
+        assert overlaps
+
+    def test_kept_plan_gives_the_bytes_of_a_fresh_one(self, bench_systems,
+                                                      monkeypatch):
+        rng = np.random.default_rng(31)
+        for S in bench_systems:
+            for b in _plan_elements(S, rng)[:2]:
+                _plan_outputs(S, b)
+                kept = S._level_plans.copy()
+                hit = _plan_outputs(S, b)
+                assert S._level_plans == kept
+                with monkeypatch.context() as m:
+                    m.setattr(S, "_level_plans", {})
+                    assert _plan_outputs(S, b) == hit
+                    fresh = S._level_plans
+                assert fresh and all(_plan_bytes(plan) == _plan_bytes(kept[key])
+                                     for key, plan in fresh.items())
+
+    def test_new_windows_build_plans_and_seen_windows_none(self, pd):
+        S = build_towers(pd.cylinder(Window(0, 2), "101"), "full")
+        rng = np.random.default_rng(37)
+        _plan_outputs(S, sample_stage_element(S, rng))
+        kept = S._level_plans.copy()
+        _plan_outputs(S, sample_stage_element(S, rng))
+        assert S._level_plans == kept
+        stage = tuple(f.window for f in sample_stage_element(S, rng).components)
+        while True:
+            a = sample_subalgebra_element(S.system, S.Y, rng,
+                                          max(S.heights) + 1)
+            c = stage_from_gamma(a, S)
+            windows = tuple(f.window for f in c.components)
+            if windows != stage:
+                break
+        _plan_outputs(S, c)
+        new = S._level_plans.keys() - kept.keys()
+        assert ("lift", windows) in new and ("stage", windows) in new
+        again = S._level_plans.copy()
+        _plan_outputs(S, stage_from_gamma(a.scale(2.0), S))
+        assert S._level_plans == again
+
+    def test_other_bases_keep_no_plan(self, rudin):
+        # components on copies of the bases, and component 0 on the full
+        # set with the same values on T_0: a kept plan's rows would misread
+        # the latter; both give the results of the own bases and keep none
+        b = sample_stage_element(rudin, np.random.default_rng(41))
+        want = _plan_outputs(rudin, b)
+        copies = [ClopenSet(T.system, T.window, T.words) for T in rudin.bases]
+        assert all(C is not T and C == T for C, T in zip(copies, rudin.bases))
+        f = b.components[0]
+        full = rudin.system.full_set()
+        stack = np.full((rudin.system.complexity(f.window.length), f.size,
+                         f.size), 7.0 + 0j)
+        stack[f.base.indices_on(f.window)] = f._stack
+        others = [
+            StageElement(tuple(MatrixCylinderFunction._from_stack(
+                C, f.window, f._stack) for C, f in zip(copies, b.components))),
+            _replaced(b, 0, MatrixCylinderFunction._from_stack(full, f.window,
+                                                               stack))]
+        kept = rudin._level_plans.copy()
+        for c in others:
+            assert _plan_outputs(rudin, c) == want
+        assert rudin._level_plans.keys() == kept.keys()
+        assert all(rudin._level_plans[key] is plan for key, plan in kept.items())
+
+    def test_plan_arrays_are_read_only_and_smallest_unsigned(self,
+                                                             bench_systems):
+        rng = np.random.default_rng(43)
+        for S in bench_systems:
+            for b in _plan_elements(S, rng)[:2]:
+                comps = b.components
+                plans = [(rsh._lift_plan(S, comps), {
+                    "index": rsh._starts(comps)[-1]})]
+                for l in range(S.m + 1):
+                    bound = rsh._starts(comps[:l])[-1]
+                    found = [rsh._stage_gluing(S, comps[: l + 1])]
+                    if l:
+                        found.append(rsh._boundary_gluing(S, l, comps[:l]))
+                    for plan in found:
+                        n = len(plan.rows)
+                        plans.append((plan, {
+                            "path": len(admissible_sequences(S, l)),
+                            "rows": plan.count, "glue": bound, "first": n,
+                            "last": n, "repeat": n, "earlier": n}))
+                for plan, bounds in plans:
+                    if hasattr(plan, "rank"):
+                        bounds["rank"] = len(plan.rank)
+                    for name, bound in bounds.items():
+                        array = getattr(plan, name)
+                        assert array.dtype == np.min_scalar_type(bound), name
+                        assert array.dtype.kind == "u" and array.itemsize <= 2
+                        assert not array.flags.writeable
+                    if hasattr(plan, "words"):
+                        assert not plan.words.flags.writeable
+
+    def test_levels_without_paths_have_empty_plans(self, bench_systems):
+        S = bench_systems[2]  # Thue-Morse 0110: every boundary is empty
+        assert not any(admissible_sequences(S, l) for l in range(S.m + 1))
+        b = sample_stage_element(S, np.random.default_rng(47))
+        assert stage_violations(S, b) == []
+        for l in range(1, S.m + 1):
+            assert len(rsh._stage_gluing(S, b.components[: l + 1]).rows) == 0
+            assert len(beta_boundary(S, l, b)._stack) == 0
+        assert stage_from_gamma(lift(S, b), S).equal_exact(b)
+
+    def test_uncovered_boundary_rows_raise(self, pd101_defects):
+        # the middle tower one step taller leaves a word of D_2 on no path:
+        # the boundary raises, with asserts stripped too
+        S = pd101_defects["tall-middle"]
+        with pytest.raises(InvariantViolated,
+                           match="boundary words not covered by any path"):
+            beta_boundary(S, 2, StageElement.zero(S).truncate(1))
 
 
 # -- positive elements ---------------------------------------------------------

@@ -174,7 +174,7 @@ class TestBetaBoundary:
         paths = admissible_sequences(rudin, l)
         window = rudin.boundaries[l].window
         for path in paths:
-            window = rsh._path_eval_window(path, b, window)
+            window = rsh._path_eval_window(path, b.components, window)
         first, clashes = {}, []
         for path in paths:
             for w in sorted(path.path_set.words_on(window)):
@@ -423,9 +423,13 @@ class TestPullback:
                     if any(q is not p and not (p.path_set & q.path_set).is_empty()
                            for q in admissible_sequences(rudin, l)))
         b = sample_stage_element(rudin, np.random.default_rng(5))
-        glued = rsh._glued_stack
-        monkeypatch.setattr(rsh, "_glued_stack", lambda path, *args: glued(
-            path, *args) + (0.6 if path is p else -0.6) * STAGE_TOL)
+        # the offset is planted where every gluing is read: each entry of a
+        # level's plan knows its path by index
+        q = admissible_sequences(rudin, l).index(p)
+        glue = rsh._glue
+        monkeypatch.setattr(rsh, "_glue", lambda plan, flat: glue(plan, flat) + (
+            np.where((plan.level == l) & (plan.path == q), 0.6, -0.6)
+            * STAGE_TOL)[:, None, None])
         assert stage_violations(rudin, b) == []
         with pytest.raises(NotInStageAlgebra) as err:
             beta_boundary(rudin, l, b)
